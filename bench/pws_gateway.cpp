@@ -259,7 +259,8 @@ ModeResult run_per_job(const GatewayBenchParams& params,
   for (const workload::TenantEvent& ev : events) {
     engine.schedule_after(ev.arrival, [&, ev] {
       pws::SubmitRequest r;
-      r.name = "j" + std::to_string(out.submissions);
+      r.name = "j";
+      r.name += std::to_string(out.submissions);
       r.user = workload::tenant_name(ev.tenant);
       r.pool = "batch";
       r.nodes = ev.nodes;
@@ -314,7 +315,8 @@ ModeResult run_gateway(const GatewayBenchParams& params,
   for (const workload::TenantEvent& ev : events) {
     engine.schedule_after(ev.arrival, [&, ev] {
       pws::SubmitRequest r;
-      r.name = "j" + std::to_string(out.submissions);
+      r.name = "j";
+      r.name += std::to_string(out.submissions);
       r.user = workload::tenant_name(ev.tenant);
       r.pool = "batch";
       r.nodes = ev.nodes;

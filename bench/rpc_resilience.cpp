@@ -174,8 +174,10 @@ FailoverResult run_failover() {
     engine.schedule_after(static_cast<sim::SimTime>(i) * 500 *
                               sim::kMillisecond,
                           [&ctx, i] {
+                            std::string key = "k";
+                            key += std::to_string(i);
                             ctx.api->checkpoint_save(
-                                "bench", "k" + std::to_string(i), "data",
+                                "bench", key, "data",
                                 [&ctx](KernelApi::Result<std::uint64_t> r) {
                                   ++ctx.completed;
                                   if (r.ok()) ++ctx.ok;

@@ -44,8 +44,13 @@ int main() {
   // 1. Page on any failure event, cluster-wide, via one subscription.
   api.subscribe({"node.*", "network.*", "service.*"}, [&](const kernel::Event& e) {
     ++pages_sent;
-    audit_log += "[" + sim::format_duration(e.timestamp) + "] PAGE: " + e.type +
-                 " node " + std::to_string(e.subject_node.value) + "\n";
+    audit_log += "[";
+    audit_log += sim::format_duration(e.timestamp);
+    audit_log += "] PAGE: ";
+    audit_log += e.type;
+    audit_log += " node ";
+    audit_log += std::to_string(e.subject_node.value);
+    audit_log += "\n";
     api.checkpoint_save("alarm-center", "audit", audit_log,
                         [](kernel::KernelApi::Result<std::uint64_t>) {});
     std::printf("  PAGE: %-18s node=%u\n", e.type.c_str(), e.subject_node.value);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/node.h"
@@ -92,8 +93,29 @@ struct Job {
   }
 };
 
+/// Appends `job`'s checkpoint line, '\n' included, to `out`.
+void append_job_line(std::string& out, const Job& job);
+
 /// One line per job; used for the scheduler's checkpoint state.
 std::string serialize_jobs(const std::map<JobId, Job>& jobs);
-std::map<JobId, Job> deserialize_jobs(const std::string& data);
+/// Inverse of serialize_jobs(); malformed lines are skipped.
+std::map<JobId, Job> deserialize_jobs(std::string_view data);
+
+/// serialize_jobs() for a table that is saved after every change. A
+/// terminal job's line is formatted once and reused on every later save;
+/// live jobs are formatted fresh each time. The output equals
+/// serialize_jobs(jobs) as long as every change to a job that may already
+/// be terminal is reported through invalidate().
+class JobTableImage {
+ public:
+  std::string serialize(const std::map<JobId, Job>& jobs);
+  void invalidate(JobId id) { terminal_lines_.erase(id); }
+  void clear() { terminal_lines_.clear(); }
+  std::size_t cached_lines() const noexcept { return terminal_lines_.size(); }
+
+ private:
+  std::map<JobId, std::string> terminal_lines_;
+  std::string buffer_;  // keeps its capacity from one save to the next
+};
 
 }  // namespace phoenix::pws

@@ -753,7 +753,7 @@ void PwsScheduler::save_checkpoint_now() {
   auto save = std::make_shared<kernel::CheckpointSaveMsg>();
   save->service = "pws";
   save->key = "jobs";
-  save->data = serialize_jobs(jobs_);
+  save->data = checkpoint_image_.serialize(jobs_);
   last_ckpt_time_ = now();
   ever_ckpt_ = true;
   ckpt_dirty_ = false;
@@ -933,6 +933,9 @@ void PwsScheduler::handle(const net::Envelope& env) {
     if (job_it == jobs_.end()) return;
     Job& job = job_it->second;
     const JobId job_id = job.id;
+    // The job may have been cancelled while authorizing; its cached line
+    // goes stale below.
+    checkpoint_image_.invalidate(job_id);
     bool accepted = false;
     std::string reason = authz->reason;
     const std::size_t pool_index = pool_index_of(job.pool_sym);
@@ -975,6 +978,8 @@ void PwsScheduler::handle(const net::Envelope& env) {
     pending_spawns_.erase(it);
     auto job_it = jobs_.find(pending.job);
     if (job_it == jobs_.end() || !spawn->ok) return;
+    // The job may have ended while spawning; its cached line goes stale.
+    checkpoint_image_.invalidate(pending.job);
     job_it->second.pids[pending.node.value] = spawn->pid;
     pid_to_job_[spawn->pid] = pending.job;
     checkpoint_state();
@@ -1012,6 +1017,7 @@ void PwsScheduler::handle(const net::Envelope& env) {
     recovery_load_id_ = 0;
     if (load->found) {
       jobs_ = deserialize_jobs(load->data);
+      checkpoint_image_.clear();
       rebuild_after_restore();
       reconcile_with_bulletin();
     } else {

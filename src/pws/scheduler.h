@@ -354,6 +354,11 @@ class PwsScheduler final : public cluster::Daemon {
   bool ever_ckpt_ = false;
   bool ckpt_dirty_ = false;
   bool ckpt_flush_scheduled_ = false;
+  /// Incremental serialize_jobs(jobs_). Terminal jobs change in only two
+  /// places, which invalidate their lines: a late SpawnReply records a pid
+  /// for a job that ended while spawning, and a late AuthzReply rewrites
+  /// the state of a job cancelled while authorizing.
+  JobTableImage checkpoint_image_;
 
   // observability (cluster registry; recording gated on enabled())
   obs::Registry* metrics_ = nullptr;

@@ -8,7 +8,9 @@
 namespace phoenix::workload {
 
 std::string tenant_name(std::uint32_t tenant) {
-  return "u" + std::to_string(tenant);
+  std::string name = "u";
+  name += std::to_string(tenant);
+  return name;
 }
 
 namespace {

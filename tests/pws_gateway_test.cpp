@@ -38,6 +38,12 @@ PwsConfig one_pool_config(const cluster::Cluster& cluster) {
   return config;
 }
 
+std::string user_name(int i) {
+  std::string name = "u";
+  name += std::to_string(i);
+  return name;
+}
+
 SubmitRequest req(const std::string& user, unsigned nodes, double seconds) {
   SubmitRequest r;
   r.user = user;
@@ -75,7 +81,7 @@ struct GatewayRig {
 TEST(PwsGatewayTest, WindowCoalescesSubmissionsIntoOneBatch) {
   GatewayRig rig;
   for (int i = 0; i < 20; ++i) {
-    rig.gateway->submit(req("u" + std::to_string(i), 1, 0.05));
+    rig.gateway->submit(req(user_name(i), 1, 0.05));
   }
   rig.h.run_s(0.5);
 
@@ -92,7 +98,7 @@ TEST(PwsGatewayTest, OversizedWindowSplitsAtMaxBatch) {
   gw.max_batch = 8;
   GatewayRig rig({}, gw);
   for (int i = 0; i < 20; ++i) {
-    rig.gateway->submit(req("u" + std::to_string(i), 1, 0.05));
+    rig.gateway->submit(req(user_name(i), 1, 0.05));
   }
   rig.h.run_s(0.5);
 
@@ -169,7 +175,7 @@ TEST(PwsGatewayTest, ImmediateCancelAbsorbedLocally) {
   std::vector<SubmissionGateway::Ticket> tickets;
   for (int i = 0; i < 5; ++i) {
     tickets.push_back(rig.gateway->submit(
-        req("u" + std::to_string(i), 1, 0.05),
+        req(user_name(i), 1, 0.05),
         [&verdicts](SubmissionGateway::Ticket, const BatchSubmitResult& r) {
           verdicts.push_back(r.status);
         }));
@@ -286,7 +292,7 @@ TEST(PwsGatewayTest, MetricsSurfaceInAdminReport) {
   GatewayRig rig;
   rig.h.cluster.metrics().set_enabled(true);
   for (int i = 0; i < 10; ++i) {
-    rig.gateway->submit(req("u" + std::to_string(i), 1, 0.05));
+    rig.gateway->submit(req(user_name(i), 1, 0.05));
   }
   rig.h.run_s(1.0);
 
