@@ -8,8 +8,8 @@
 //
 // Cost discipline: `enabled()` is the one branch instrumented code checks;
 // everything else (id minting, the mutex, string copies) happens only when
-// tracing is on. record() is thread-safe because ShardedFabric records wire
-// hops from parallel worker threads.
+// tracing is on. record() takes a lock and ids come from one atomic
+// counter, so a store stays consistent if it is shared between threads.
 //
 // Export is Chrome trace-event JSON ("X" complete events, ts/dur in
 // microseconds = sim-time units), loadable in Perfetto / chrome://tracing.
@@ -47,8 +47,7 @@ class SpanStore {
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Fresh unique id, usable as a trace id or span id. Ids are minted from
-  /// one atomic counter: unique across threads, not stable across thread
-  /// counts (the tree *structure* is what determinism tests assert on).
+  /// one atomic counter, so they are unique across threads.
   std::uint64_t mint_id() noexcept {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -57,8 +56,7 @@ class SpanStore {
   /// enabled() first and skip building the span at all).
   void record(Span span);
 
-  /// Snapshot of retained spans, oldest-first. Takes the lock — call while
-  /// any parallel engine is quiescent.
+  /// Snapshot of retained spans, oldest-first. Takes the lock.
   std::deque<Span> spans() const;
   std::size_t size() const;
   std::uint64_t recorded_total() const noexcept { return recorded_; }

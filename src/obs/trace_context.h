@@ -10,10 +10,8 @@
 // exactly the size it was before tracing existed; the traced path pays for
 // its fatter closures, the untraced path pays one branch.
 //
-// Thread-local means the ambient frame is naturally per-shard under the
-// ParallelEngine: each worker thread carries its own frame, and the
-// cross-shard mailbox closure re-establishes the context on the
-// destination shard's thread.
+// Thread-local means simulations running on different threads (parallel
+// trials) never see each other's ambient frame.
 #pragma once
 
 #include <cstdint>
