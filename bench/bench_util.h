@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -13,6 +15,42 @@
 #include "kernel/kernel.h"
 
 namespace phoenix::bench {
+
+/// Command line shared by the JSON-emitting benches:
+/// `[--quick] [--trace-json FILE] [out.json]`.
+struct BenchArgs {
+  bool quick = false;
+  const char* out_path = nullptr;
+  const char* trace_path = nullptr;  // --trace-json; only where accepted
+};
+
+/// Parses argv for a bench writing `default_out`. An unknown `-`-prefixed
+/// argument, or `--trace-json` without a value (or where the bench does not
+/// take it), prints usage to stderr and exits 2 before anything runs, so a
+/// mistyped flag never becomes the output file name.
+inline BenchArgs parse_bench_args(int argc, char** argv, const char* default_out,
+                                  bool takes_trace_json = false) {
+  BenchArgs args;
+  args.out_path = default_out;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      args.quick = true;
+    } else if (takes_trace_json && std::strcmp(argv[i], "--trace-json") == 0 &&
+               i + 1 < argc) {
+      args.trace_path = argv[++i];
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr,
+                   "%s: unknown flag or missing value: '%s'\n"
+                   "usage: %s [--quick]%s [out.json]\n",
+                   argv[0], argv[i], argv[0],
+                   takes_trace_json ? " [--trace-json FILE]" : "");
+      std::exit(2);
+    } else {
+      args.out_path = argv[i];
+    }
+  }
+  return args;
+}
 
 /// The paper's §5.1 testbed: 136 nodes in Dawning 4000A, 16 computing
 /// nodes and 1 server node per partition, 8 partitions, 30 s heartbeat.

@@ -28,10 +28,11 @@
 //                      Chrome trace-event JSON (open in Perfetto); the run
 //                      must contain delivered wire hops that parent
 //                      service-side serve spans.
+//   [out.json]         JSON output path (default BENCH_hotpath.json); any
+//                      other `-`-prefixed argument prints usage and exits 2.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -356,18 +357,11 @@ bool export_trace_json(const char* path) {
 
 int main(int argc, char** argv) {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
-  const char* out_path = "BENCH_hotpath.json";
-  const char* trace_path = nullptr;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-json") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const auto args = phoenix::bench::parse_bench_args(argc, argv, "BENCH_hotpath.json",
+                                                     /*takes_trace_json=*/true);
+  const char* out_path = args.out_path;
+  const char* trace_path = args.trace_path;
+  const bool quick = args.quick;
   const std::size_t scale_div = quick ? 20 : 1;
 
   const double events_per_sec =

@@ -26,7 +26,6 @@
 // Emits BENCH_fault_matrix.json (or the first non-flag argument);
 // --quick shortens the observation windows for CI.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -213,15 +212,9 @@ int main(int argc, char** argv) {
   using namespace phoenix::bench;
   std::setvbuf(stdout, nullptr, _IONBF, 0);
 
-  bool quick = false;
-  const char* out_path = "BENCH_fault_matrix.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const BenchArgs args = parse_bench_args(argc, argv, "BENCH_fault_matrix.json");
+  const bool quick = args.quick;
+  const char* out_path = args.out_path;
   // Long enough for detect (2 s hb) + regroup + migrate + rejoin per fault.
   const double observe_s = quick ? 40.0 : 80.0;
 

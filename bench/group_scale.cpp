@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -110,15 +109,9 @@ int main(int argc, char** argv) {
   using namespace phoenix::bench;
   std::setvbuf(stdout, nullptr, _IONBF, 0);
 
-  bool quick = false;
-  const char* out_path = "BENCH_group_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const BenchArgs args = parse_bench_args(argc, argv, "BENCH_group_scale.json");
+  const bool quick = args.quick;
+  const char* out_path = args.out_path;
 
   std::vector<std::size_t> sizes = {64, 256};
   if (!quick) {

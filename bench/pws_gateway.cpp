@@ -27,7 +27,6 @@
 // Usage: pws_gateway [--quick] [out.json]   (default out: BENCH_pws_gateway.json)
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <chrono>
 #include <string>
 #include <unordered_map>
@@ -412,15 +411,9 @@ int main(int argc, char** argv) {
   using namespace phoenix::bench;
   std::setvbuf(stdout, nullptr, _IONBF, 0);
 
-  bool quick = false;
-  const char* out_path = "BENCH_pws_gateway.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const BenchArgs args = parse_bench_args(argc, argv, "BENCH_pws_gateway.json");
+  const bool quick = args.quick;
+  const char* out_path = args.out_path;
 
   const GatewayBenchParams params = make_params(quick);
   const std::vector<workload::TenantEvent> events =

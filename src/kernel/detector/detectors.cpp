@@ -77,9 +77,8 @@ void DetectorDaemon::sample() {
   std::vector<AppRecord> snapshot_apps;  // full reports only
   std::vector<AppRecord> started;        // deltas only
   std::unordered_set<cluster::Pid> running_apps;
-  std::unordered_map<cluster::Pid, cluster::ProcessState> current;
-  for (const auto& [pid, p] : node.process_table()) {
-    current[pid] = p.state;
+  const auto& table = node.process_table();
+  for (const auto& [pid, p] : table) {
     const bool is_app = p.owner != kKernelOwner;
     if (is_app && p.state == cluster::ProcessState::kRunning) {
       running_apps.insert(pid);
@@ -116,8 +115,18 @@ void DetectorDaemon::sample() {
         publish(std::move(e));
       }
     }
+    if (it == last_states_.end()) {
+      last_states_.emplace(pid, p.state);
+    } else {
+      it->second = p.state;
+    }
   }
-  last_states_ = std::move(current);
+  // Every live pid now has an entry, so a size mismatch means some pid was
+  // reaped since the last sample: only then pay for the sweep.
+  if (last_states_.size() != table.size()) {
+    std::erase_if(last_states_,
+                  [&table](const auto& kv) { return !table.contains(kv.first); });
+  }
 
   if (directory() == nullptr) {
     reported_apps_ = std::move(running_apps);

@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -44,27 +45,59 @@ bool Engine::cancel(EventId id) {
 }
 
 bool Engine::step_limited(SimTime limit) {
-  while (!queue_.empty()) {
-    const Entry top = queue_.top();
-    const std::uint64_t slot = top.id >> kGenerationBits;
-    if (!slots_[slot].live || slots_[slot].gen != (top.id & kGenMask)) {
-      queue_.pop();  // cancelled ghost
-      continue;
+  for (;;) {
+    // Bucket 0 holds keys equal to last_, in insertion order.
+    std::vector<Entry>& due = buckets_[0];
+    while (head_ < due.size()) {
+      const Entry e = due[head_];
+      const std::uint64_t slot = e.id >> kGenerationBits;
+      if (!slots_[slot].live || slots_[slot].gen != (e.id & kGenMask)) {
+        ++head_;  // cancelled ghost
+        continue;
+      }
+      if (e.time > limit) return false;
+      ++head_;
+      // Move the callback out and retire the slot *before* running it: the
+      // callback may legally schedule into (and thus reuse) this very slot.
+      Callback cb = std::move(slots_[slot].cb);
+      slots_[slot].cb = Callback{};
+      retire(slot);
+      --live_;
+      now_ = e.time;
+      ++executed_;
+      cb();
+      return true;
     }
-    if (top.time > limit) return false;
-    queue_.pop();
-    // Move the callback out and retire the slot *before* running it: the
-    // callback may legally schedule into (and thus reuse) this very slot.
-    Callback cb = std::move(slots_[slot].cb);
-    slots_[slot].cb = Callback{};
-    retire(slot);
-    --live_;
-    now_ = top.time;
-    ++executed_;
-    cb();
-    return true;
+    due.clear();
+    head_ = 0;
+    if (occupied_ == 0) {
+      // Drained (possibly by popping only ghosts): re-anchor the base at
+      // the clock so the next push at now() is not below it.
+      last_ = now_;
+      return false;
+    }
+    // Refill bucket 0 from the lowest non-empty bucket: its minimum becomes
+    // the new base and every entry lands in a strictly lower bucket, all of
+    // which are empty, so insertion order survives the move.
+    const unsigned b = static_cast<unsigned>(std::countr_zero(occupied_)) + 1;
+    std::vector<Entry>& src = buckets_[b];
+    SimTime min = src.front().time;
+    for (const Entry& e : src) min = std::min(min, e.time);
+    // run_until() parks the clock below the next event and callers then
+    // schedule into [limit, min): the base must not pass limit.
+    if (min > limit) return false;
+    last_ = min;
+    for (const Entry& e : src) push(e);
+    // Timer bursts grow some buckets far past their usual size. Releasing a
+    // large buffer here keeps the queue's memory near its occupancy instead
+    // of the sum of every bucket's all-time peak.
+    if (src.capacity() > kKeptBucketCapacity) {
+      std::vector<Entry>().swap(src);
+    } else {
+      src.clear();
+    }
+    occupied_ &= ~(std::uint64_t{1} << (b - 1));
   }
-  return false;
 }
 
 std::size_t Engine::run(std::size_t max_events) {

@@ -1,14 +1,19 @@
 // Discrete-event simulation engine.
 //
-// The engine owns the virtual clock and a priority queue of scheduled
-// callbacks. All Phoenix daemons are actors driven entirely by engine
-// events: message deliveries, timers, and fault injections. Determinism:
-// ties on time are broken by insertion sequence number.
+// The engine owns the virtual clock and a queue of scheduled callbacks.
+// All Phoenix daemons are actors driven entirely by engine events: message
+// deliveries, timers, and fault injections. Determinism: events fire in
+// (time, insertion order) order, so same-time events run FIFO.
 //
 // Hot-path design (see DESIGN.md, "Simulation-core performance"):
-//   - The priority queue holds 24-byte POD keys {time, seq, id}; the
-//     callback itself lives in a stable slot array and is never moved by
-//     heap sifts.
+//   - The queue is a monotone radix heap over 16-byte POD keys {time, id}.
+//     Simulated time never runs backwards, so every key is >= the last
+//     popped key `last_`; bucket b holds keys whose highest bit differing
+//     from `last_` is bit b-1 (bucket 0: key == last_). A push is one
+//     bit_width plus an append; a pop refills bucket 0 from the lowest
+//     non-empty bucket. Buckets are only ever refilled while empty, so each
+//     stays in insertion order and same-time ties need no sequence number.
+//     The callback itself lives in a stable slot array and never moves.
 //   - Cancellation is lazy via generation counters: an EventId packs
 //     (slot, generation); cancel/fire bump the slot's generation, so a
 //     queued ghost key is recognized and skipped when popped. No per-event
@@ -18,10 +23,11 @@
 //     touch the heap.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/inplace_function.h"
@@ -107,18 +113,14 @@ class Engine {
 
  private:
   static constexpr std::uint64_t kGenMask = (1u << kGenerationBits) - 1;
+  // Buffer a bucket keeps (in entries) when redistribution empties it.
+  static constexpr std::size_t kKeptBucketCapacity = 256;
 
-  // Priority-queue key: plain-old-data, 24 bytes, cheap to sift. The
-  // callback for `id` lives in slots_[id >> kGenerationBits].
+  // Queue key: plain-old-data, 16 bytes. The callback for `id` lives in
+  // slots_[id >> kGenerationBits].
   struct Entry {
     SimTime time;
-    std::uint64_t seq;  // tie-breaker: FIFO among same-time events
-    std::uint64_t id;   // packed (slot, generation)
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
+    std::uint64_t id;  // packed (slot, generation)
   };
   struct Slot {
     std::uint32_t gen = 1;
@@ -152,9 +154,21 @@ class Engine {
     }
     slots_[slot].live = true;
     const std::uint64_t id = (slot << kGenerationBits) | slots_[slot].gen;
-    queue_.push(Entry{t, next_seq_++, id});
+    push(Entry{t, id});
     ++live_;
     return EventId{id};
+  }
+
+  /// Radix bucket of `t` relative to last_: 0 when equal, else one plus
+  /// the index of the highest differing bit (1..64).
+  unsigned bucket_of(SimTime t) const noexcept {
+    return static_cast<unsigned>(std::bit_width(t ^ last_));
+  }
+
+  void push(const Entry& e) {
+    const unsigned b = bucket_of(e.time);
+    buckets_[b].push_back(e);
+    if (b != 0) occupied_ |= std::uint64_t{1} << (b - 1);
   }
 
   bool step_limited(SimTime limit);
@@ -170,10 +184,14 @@ class Engine {
   }
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;  // scheduled, not yet fired/cancelled
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  // Radix-heap base: every queued key is >= last_, and last_ <= now_
+  // whenever a callback can schedule.
+  SimTime last_ = 0;
+  std::array<std::vector<Entry>, 65> buckets_;
+  std::size_t head_ = 0;        // next unpopped entry of buckets_[0]
+  std::uint64_t occupied_ = 0;  // bit b-1 set <=> buckets_[b] non-empty
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> free_slots_;  // LIFO: reuse stays cache-hot
   Rng rng_;

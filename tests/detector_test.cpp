@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "kernel_fixture.h"
 #include "test_client.h"
 #include "workload/resource_model.h"
@@ -73,6 +76,72 @@ TEST_F(DetectorTest, PublishesAppStartedAndExitedEvents) {
   }
   EXPECT_TRUE(started);
   EXPECT_TRUE(exited);
+}
+
+TEST_F(DetectorTest, ProcessReapedBetweenSamples) {
+  // An app that exits and is reaped before the detector ever sees it exit
+  // publishes no kAppExited, leaves the bulletin through the next delta,
+  // and its pid is forgotten: a later process reusing the pid is announced
+  // again.
+  TestClient consumer(h.cluster, net::NodeId{4});
+  auto sub = std::make_shared<EsSubscribeMsg>();
+  sub->subscription.consumer = consumer.address();
+  sub->subscription.types = {std::string(event_types::kAppStarted),
+                             std::string(event_types::kAppExited)};
+  consumer.send_any(
+      h.kernel.service_address(ServiceKind::kEventService, net::PartitionId{0}),
+      sub);
+  h.run_s(1.0);
+
+  const net::NodeId node_id{3};
+  auto& node = h.cluster.node(node_id);
+  auto& detector = h.kernel.detector(node_id);
+  const auto app = [](cluster::Pid pid, const char* name) {
+    cluster::ProcessInfo p;
+    p.pid = pid;
+    p.name = name;
+    p.owner = "alice";
+    return p;
+  };
+  const auto app_pids = [&] {
+    std::set<cluster::Pid> pids;
+    for (const auto& row : h.kernel.bulletin(net::PartitionId{0}).app_rows()) {
+      if (row.node == node_id) pids.insert(row.pid);
+    }
+    return pids;
+  };
+  const auto events_named = [&](std::string_view type, std::string_view name) {
+    int n = 0;
+    for (const auto* msg : consumer.of_type<EsNotifyMsg>()) {
+      if (msg->event.type == type && msg->event.attr("name") == name) ++n;
+    }
+    return n;
+  };
+
+  node.add_process(app(9001, "reaped"));
+  node.add_process(app(9002, "stays"));
+  detector.sample_now();
+  h.run_s(0.2);
+  EXPECT_EQ(app_pids(), (std::set<cluster::Pid>{9001, 9002}));
+
+  ASSERT_TRUE(node.terminate_process(9001, cluster::ProcessState::kExited,
+                                     h.cluster.engine().now()));
+  ASSERT_EQ(node.reap(), 1u);
+  const auto deltas = detector.delta_reports_sent();
+  detector.sample_now();
+  h.run_s(0.2);
+  EXPECT_EQ(detector.delta_reports_sent(), deltas + 1);
+  EXPECT_EQ(app_pids(), (std::set<cluster::Pid>{9002}));
+
+  node.add_process(app(9001, "reused"));
+  detector.sample_now();
+  h.run_s(0.2);
+  EXPECT_EQ(app_pids(), (std::set<cluster::Pid>{9001, 9002}));
+
+  EXPECT_EQ(events_named(event_types::kAppStarted, "reaped"), 1);
+  EXPECT_EQ(events_named(event_types::kAppStarted, "stays"), 1);
+  EXPECT_EQ(events_named(event_types::kAppStarted, "reused"), 1);
+  EXPECT_EQ(events_named(event_types::kAppExited, "reaped"), 0);
 }
 
 TEST_F(DetectorTest, DeadDetectorStopsSampling) {

@@ -1,11 +1,13 @@
-// Edge cases of the lazy-cancel slot/generation scheduler, plus an
-// equivalence test replaying a 10k-event trace against a reference
-// implementation of the old scheduler (eager hash-set liveness tracking,
-// std::function callbacks) to prove event ordering is bit-identical.
+// Edge cases of the lazy-cancel slot/generation scheduler, plus
+// equivalence tests against a reference implementation of the old
+// scheduler (a binary heap keyed by (time, seq), eager hash-set liveness
+// tracking, std::function callbacks): a fixed 10k-event trace replay and a
+// randomized differential run over the radix queue's edge cases.
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -236,23 +238,19 @@ class ReferenceEngine {
   }
   bool cancel(Id id) { return live_.erase(id.value) > 0; }
 
-  bool step() {
-    while (!queue_.empty()) {
-      Entry e = std::move(const_cast<Entry&>(queue_.top()));
-      queue_.pop();
-      if (live_.erase(e.seq) == 0) continue;
-      now_ = e.time;
-      ++executed_;
-      e.cb();
-      return true;
-    }
-    return false;
-  }
+  bool step() { return step_limited(kNever); }
   std::size_t run() {
     std::size_t n = 0;
     while (step()) ++n;
     return n;
   }
+  std::size_t run_until(SimTime t) {
+    std::size_t n = 0;
+    while (step_limited(t)) ++n;
+    if (now_ < t) now_ = t;
+    return n;
+  }
+  std::size_t pending() const noexcept { return live_.size(); }
   std::uint64_t executed() const noexcept { return executed_; }
 
  private:
@@ -261,6 +259,23 @@ class ReferenceEngine {
     std::uint64_t seq;
     Callback cb;
   };
+  bool step_limited(SimTime limit) {
+    while (!queue_.empty()) {
+      if (!live_.contains(queue_.top().seq)) {
+        queue_.pop();
+        continue;
+      }
+      if (queue_.top().time > limit) return false;
+      Entry e = std::move(const_cast<Entry&>(queue_.top()));
+      queue_.pop();
+      live_.erase(e.seq);
+      now_ = e.time;
+      ++executed_;
+      e.cb();
+      return true;
+    }
+    return false;
+  }
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
@@ -350,6 +365,121 @@ TEST(SchedulerEquivalenceTest, SameSeedSameExecutionOrder) {
   const auto a = record_trace<Engine, EventId>();
   const auto b = record_trace<Engine, EventId>();
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized differential run against the reference heap.
+// ---------------------------------------------------------------------------
+
+// Drives one scheduler through `ops` random top-level operations and logs
+// everything observable: each fired label with its time, every cancel
+// result, every run/run_until count and the clock after it. Callbacks draw
+// from the same generator, so two schedulers produce identical logs exactly
+// when they fire the same events in the same order.
+template <typename EngineT, typename IdT>
+std::vector<std::uint64_t> random_ops_log(std::uint64_t seed, std::size_t ops) {
+  EngineT eng;
+  std::uint64_t state = seed;
+  auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::vector<IdT> ids;
+  std::size_t drained = 0;  // ids before this index are all stale
+  std::vector<std::uint64_t> log;
+
+  // Keys that stress the radix buckets: ties at now, past times (clamped
+  // to now), near-future times, and times differing from now only in bit
+  // 40, 62 or 63 (bucket 64). High-bit jumps stop once the clock is past
+  // 2^62, so no key can overflow.
+  auto pick_time = [&] {
+    const SimTime now = eng.now();
+    const bool high_ok = now < (SimTime{1} << 62);
+    switch (next() % 8) {
+      case 0: return now;
+      case 1: return now > 3 ? now - 1 - next() % 3 : SimTime{0};
+      case 2:
+        if (high_ok) return now | (SimTime{1} << 40);
+        break;
+      case 3:
+        if (high_ok && next() % 8 == 0) return now | (SimTime{1} << 62);
+        break;
+      case 4:
+        if (high_ok && next() % 32 == 0) return now | (SimTime{1} << 63);
+        break;
+      default: break;
+    }
+    return now + next() % 64;
+  };
+
+  std::function<void(std::size_t)> fire;
+  auto schedule = [&](SimTime t) {
+    const std::size_t label = ids.size();
+    ids.push_back(eng.schedule_at(t, [&fire, label] { fire(label); }));
+  };
+  fire = [&](std::size_t label) {
+    log.push_back(label);
+    log.push_back(eng.now());
+    const std::uint64_t r = next();
+    for (std::uint64_t c = 0; c < r % 3 && ids.size() < 4 * ops; ++c) {
+      schedule(c == 0 && (r & 8) ? eng.now() : pick_time());  // same-time tie
+    }
+    if ((r >> 8) % 4 == 0) log.push_back(eng.cancel(ids[(r >> 16) % ids.size()]));
+  };
+
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::uint64_t r = next() % 100;
+    if (r < 45) {
+      schedule(pick_time());
+    } else if (r < 65) {
+      if (!ids.empty()) log.push_back(eng.cancel(ids[next() % ids.size()]));
+    } else if (r < 80) {
+      // Stop short of (or before) the next event, then schedule into the
+      // gap [now, next).
+      const SimTime now = eng.now();
+      const SimTime t = next() % 16 == 0 && now > 8 ? now - 8 : now + next() % 48;
+      log.push_back(eng.run_until(t));
+      log.push_back(eng.now());
+      schedule(eng.now() + next() % 4);
+    } else if (r < 95) {
+      log.push_back(eng.step());
+      log.push_back(eng.now());
+    } else if (r < 99) {
+      log.push_back(eng.pending());
+    } else {
+      // Cancel everything, drain ghosts only, then schedule just past now.
+      // Ids older than the previous drain have all fired or been cancelled.
+      for (std::size_t i = drained; i < ids.size(); ++i) {
+        log.push_back(eng.cancel(ids[i]));
+      }
+      log.push_back(eng.run());
+      log.push_back(eng.now());
+      drained = ids.size();
+      schedule(eng.now() + 1);
+      for (int k = 0; k < 4; ++k) schedule(pick_time());
+    }
+  }
+  log.push_back(eng.run());
+  log.push_back(eng.now());
+  log.push_back(eng.executed());
+  log.push_back(eng.pending());
+  return log;
+}
+
+TEST(SchedulerEquivalenceTest, RandomOpsMatchReferenceHeap) {
+  constexpr std::size_t kOps = 40'000;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 0xdeadbeefull}) {
+    const auto reference =
+        random_ops_log<ReferenceEngine, ReferenceEngine::Id>(seed, kOps);
+    const auto actual = random_ops_log<Engine, EventId>(seed, kOps);
+    ASSERT_GT(reference.size(), kOps) << "seed " << seed;
+    for (std::size_t i = 0; i < std::min(actual.size(), reference.size()); ++i) {
+      ASSERT_EQ(actual[i], reference[i]) << "seed " << seed << ", log entry " << i;
+    }
+    ASSERT_EQ(actual.size(), reference.size()) << "seed " << seed;
+  }
 }
 
 }  // namespace
