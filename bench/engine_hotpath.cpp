@@ -14,9 +14,10 @@
 //                engine drains; measures the full on-wire accounting path.
 //   publish    - EventService::publish_local against a realistic registry
 //                (exact, prefix, wildcard, and non-matching subscriptions).
-//   dispatch   - per-envelope handler routing: the ServiceRuntime dense
-//                type-id table vs the message_cast if-chain every service
-//                hand-rolled before it.
+//   dispatch   - per-envelope handler routing: the dense type-id table
+//                (Daemon::on, behind ServiceRuntime's counting handle())
+//                vs the message_cast if-chain every service hand-rolled
+//                before it.
 //
 // Each workload checks its own result (the scheduler mix never runs dry,
 // the fabric delivers, both dispatch paths agree); a failed check exits 1.
@@ -233,7 +234,8 @@ class IfChainService final : public cluster::Daemon {
   }
 };
 
-/// The same protocol on the runtime's dense type-id table (standalone: no
+/// The same protocol on the dense type-id table, through the runtime's
+/// counting handle() as every kernel service takes it (standalone: no
 /// directory/params, so only dispatch and counters are in play).
 class TableService final : public kernel::ServiceRuntime {
  public:

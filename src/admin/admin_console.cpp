@@ -16,6 +16,13 @@ constexpr net::PortId kAdminPort{20};
 AdminConsole::AdminConsole(cluster::Cluster& cluster, net::NodeId node,
                            kernel::PhoenixKernel& kernel)
     : Daemon(cluster, "admin", node, kAdminPort), kernel_(kernel) {
+  on<kernel::ParallelCmdReplyMsg>(
+      [this](const kernel::ParallelCmdReplyMsg& reply) {
+        if (reply.request_id != pending_cmd_) return;
+        last_result_.succeeded = reply.succeeded;
+        last_result_.failed = reply.failed;
+        cmd_done_ = true;
+      });
   start();
 }
 
@@ -256,17 +263,6 @@ void AdminConsole::publish_admin_event(std::string type, net::NodeId node) {
   const auto partition = cluster().partition_of(node_id());
   send_any(kernel_.service_address(kernel::ServiceKind::kEventService, partition),
            std::move(pub));
-}
-
-void AdminConsole::handle(const net::Envelope& env) {
-  if (const auto* reply =
-          net::message_cast<kernel::ParallelCmdReplyMsg>(*env.message)) {
-    if (reply->request_id != pending_cmd_) return;
-    last_result_.succeeded = reply->succeeded;
-    last_result_.failed = reply->failed;
-    cmd_done_ = true;
-    return;
-  }
 }
 
 }  // namespace phoenix::admin

@@ -115,7 +115,6 @@ class AdminConsole final : public cluster::Daemon {
   bool handover_partition(net::PartitionId partition, net::NodeId target);
 
  private:
-  void handle(const net::Envelope& env) override;
   void publish_admin_event(std::string type, net::NodeId node);
 
   kernel::PhoenixKernel& kernel_;

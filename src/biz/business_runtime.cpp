@@ -23,7 +23,40 @@ BusinessRuntime::BusinessRuntime(cluster::Cluster& cluster, net::NodeId node,
                                                    : sim::kSecond,
                       [this] { route_request(); }),
       load_refresher_(cluster.engine(), config_.load_refresh_interval,
-                      [this] { refresh_load(); }) {}
+                      [this] { refresh_load(); }) {
+  on<kernel::SpawnReplyMsg>([this](const kernel::SpawnReplyMsg& reply) {
+    auto it = pending_.find(reply.request_id);
+    if (it == pending_.end() || !reply.ok) return;
+    instances_[reply.pid] = Instance{it->second, reply.node, true};
+    pending_.erase(it);
+    ++stats_.deployed;
+  });
+
+  on<kernel::EsNotifyMsg>([this](const kernel::EsNotifyMsg& notify) {
+    const kernel::Event& e = notify.event;
+    if (e.type == kernel::event_types::kAppExited) {
+      try {
+        heal(std::stoull(e.attr("pid")));
+      } catch (const std::exception&) {
+        // non-numeric pid attribute: not one of ours
+      }
+    } else if (e.type == kernel::event_types::kNodeFailed) {
+      std::vector<cluster::Pid> victims;
+      for (const auto& [pid, inst] : instances_) {
+        if (inst.running && inst.node == e.subject_node) victims.push_back(pid);
+      }
+      for (const cluster::Pid pid : victims) heal(pid);
+    }
+  });
+
+  on<kernel::DbQueryReplyMsg>([this](const kernel::DbQueryReplyMsg& reply) {
+    if (reply.query_id != load_query_id_) return;
+    node_cpu_.clear();
+    for (const auto& row : reply.node_rows) {
+      node_cpu_[row.node.value] = row.usage.cpu_pct;
+    }
+  });
+}
 
 void BusinessRuntime::on_start() {
   kernel::Subscription sub;
@@ -165,44 +198,6 @@ void BusinessRuntime::heal(cluster::Pid pid) {
   if (tier == nullptr) return;
   ++stats_.restarts;
   deploy(*tier);
-}
-
-void BusinessRuntime::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-
-  if (const auto* reply = net::message_cast<kernel::SpawnReplyMsg>(m)) {
-    auto it = pending_.find(reply->request_id);
-    if (it == pending_.end() || !reply->ok) return;
-    instances_[reply->pid] = Instance{it->second, reply->node, true};
-    pending_.erase(it);
-    ++stats_.deployed;
-    return;
-  }
-  if (const auto* notify = net::message_cast<kernel::EsNotifyMsg>(m)) {
-    const kernel::Event& e = notify->event;
-    if (e.type == kernel::event_types::kAppExited) {
-      try {
-        heal(std::stoull(e.attr("pid")));
-      } catch (const std::exception&) {
-        // non-numeric pid attribute: not one of ours
-      }
-    } else if (e.type == kernel::event_types::kNodeFailed) {
-      std::vector<cluster::Pid> victims;
-      for (const auto& [pid, inst] : instances_) {
-        if (inst.running && inst.node == e.subject_node) victims.push_back(pid);
-      }
-      for (const cluster::Pid pid : victims) heal(pid);
-    }
-    return;
-  }
-  if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != load_query_id_) return;
-    node_cpu_.clear();
-    for (const auto& row : reply->node_rows) {
-      node_cpu_[row.node.value] = row.usage.cpu_pct;
-    }
-    return;
-  }
 }
 
 std::string BusinessRuntime::render_status() const {

@@ -83,7 +83,6 @@ class BusinessRuntime final : public cluster::Daemon {
     bool running = false;
   };
 
-  void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
   void deploy(const TierSpec& tier);

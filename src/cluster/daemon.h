@@ -4,11 +4,19 @@
 // process table while running, and reacts to delivered envelopes and timers.
 // Killing a daemon (fault injection or node crash) silences it without
 // notice — exactly what the group service must detect and repair.
+//
+// Message dispatch is declarative: a daemon registers `on<MsgT>(handler)`
+// once per type at construction, and the default handle() routes each
+// envelope by its interned message-type id through a dense table (one
+// vector index, one call).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "net/message.h"
@@ -100,10 +108,48 @@ class Daemon {
   std::size_t send_all_networks(const net::Address& to,
                                 std::shared_ptr<const net::Message> msg);
 
+  /// Registers `fn` for MsgT, keyed by the class's interned type id. The
+  /// handler signature is either (const MsgT&) or (const MsgT&, const
+  /// net::Envelope&) for handlers that need the source address or network.
+  /// All message classes are final, so an id match makes the static_cast
+  /// exact. Call once per type, at construction.
+  template <typename MsgT, typename F>
+  void on(F&& fn) {
+    static_assert(std::is_base_of_v<net::Message, MsgT>);
+    static_assert(std::is_final_v<MsgT>,
+                  "dispatch casts by exact type id; MsgT must be final");
+    const net::MessageTypeId id = MsgT::static_type_id();
+    if (id.value >= handlers_.size()) handlers_.resize(id.value + std::size_t{1});
+    handlers_[id.value] = [fn = std::forward<F>(fn)](const net::Envelope& env) {
+      const auto& msg = static_cast<const MsgT&>(*env.message);
+      if constexpr (std::is_invocable_v<const F&, const MsgT&,
+                                        const net::Envelope&>) {
+        fn(msg, env);
+      } else {
+        fn(msg);
+      }
+    };
+  }
+
+  /// Runs the handler registered for `id` (the type id of env.message);
+  /// false when none is registered.
+  bool dispatch(const net::Envelope& env, net::MessageTypeId id) const {
+    if (id.value >= handlers_.size() || !handlers_[id.value]) return false;
+    handlers_[id.value](env);
+    return true;
+  }
+  bool handles(net::MessageTypeId id) const noexcept {
+    return id.value < handlers_.size() && handlers_[id.value] != nullptr;
+  }
+
   /// Hooks for subclasses.
   virtual void on_start() {}
   virtual void on_stop() {}
-  virtual void handle(const net::Envelope& env) = 0;
+  /// Delivered envelope; the default routes it through the on<> table and
+  /// drops types with no registered handler.
+  virtual void handle(const net::Envelope& env) {
+    dispatch(env, env.message->type_id());
+  }
 
  private:
   Cluster& cluster_;
@@ -113,6 +159,7 @@ class Daemon {
   double cpu_share_;
   bool running_ = false;
   Pid pid_ = 0;
+  std::vector<std::function<void(const net::Envelope&)>> handlers_;
 };
 
 }  // namespace phoenix::cluster

@@ -17,7 +17,40 @@ GridView::GridView(cluster::Cluster& cluster, net::NodeId node,
                    kernel::PhoenixKernel& kernel, sim::SimTime refresh_interval)
     : Daemon(cluster, "gridview", node, kGridViewPort),
       kernel_(kernel),
-      refresher_(cluster.engine(), refresh_interval, [this] { refresh(); }) {}
+      refresher_(cluster.engine(), refresh_interval, [this] { refresh(); }) {
+  on<kernel::DbQueryReplyMsg>([this](const kernel::DbQueryReplyMsg& reply,
+                                     const net::Envelope& env) {
+    if (reply.query_id != pending_query_) return;
+    pending_query_ = 0;
+    last_latency_ = now() - query_sent_at_;
+    if (this->cluster().metrics().enabled()) {
+      if (refresh_latency_hist_ == nullptr) {
+        refresh_latency_hist_ =
+            this->cluster().metrics().histogram("gridview.refresh_latency_us");
+      }
+      refresh_latency_hist_->record(last_latency_);
+    }
+    partitions_included_ = reply.partitions_included;
+    summary_ = reply.aggregated
+                   ? reply.summary
+                   : kernel::summarize(reply.node_rows, reply.app_rows);
+    if (env.message.use_count() == 1) {
+      // Sole owner of the delivered reply: keep its row vector instead of
+      // copying 640 rows per refresh.
+      nodes_ = std::move(const_cast<kernel::DbQueryReplyMsg&>(reply).node_rows);
+    } else {
+      nodes_ = reply.node_rows;
+    }
+    ++refreshes_;
+    history_.push_back(Sample{now(), summary_, last_latency_});
+    while (history_.size() > kHistoryLimit) history_.pop_front();
+  });
+
+  on<kernel::EsNotifyMsg>([this](const kernel::EsNotifyMsg& notify) {
+    events_.push_back(notify.event);
+    while (events_.size() > kEventBufferLimit) events_.pop_front();
+  });
+}
 
 void GridView::on_start() {
   // Register interested event types with the event service (single access
@@ -58,42 +91,6 @@ void GridView::refresh() {
   const auto partition = cluster().partition_of(node_id());
   send_any(kernel_.service_address(kernel::ServiceKind::kDataBulletin, partition),
            std::move(query));
-}
-
-void GridView::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-  if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != pending_query_) return;
-    pending_query_ = 0;
-    last_latency_ = now() - query_sent_at_;
-    if (cluster().metrics().enabled()) {
-      if (refresh_latency_hist_ == nullptr) {
-        refresh_latency_hist_ =
-            cluster().metrics().histogram("gridview.refresh_latency_us");
-      }
-      refresh_latency_hist_->record(last_latency_);
-    }
-    partitions_included_ = reply->partitions_included;
-    summary_ = reply->aggregated
-                   ? reply->summary
-                   : kernel::summarize(reply->node_rows, reply->app_rows);
-    if (env.message.use_count() == 1) {
-      // Sole owner of the delivered reply: keep its row vector instead of
-      // copying 640 rows per refresh.
-      nodes_ = std::move(const_cast<kernel::DbQueryReplyMsg*>(reply)->node_rows);
-    } else {
-      nodes_ = reply->node_rows;
-    }
-    ++refreshes_;
-    history_.push_back(Sample{now(), summary_, last_latency_});
-    while (history_.size() > kHistoryLimit) history_.pop_front();
-    return;
-  }
-  if (const auto* notify = net::message_cast<kernel::EsNotifyMsg>(m)) {
-    events_.push_back(notify->event);
-    while (events_.size() > kEventBufferLimit) events_.pop_front();
-    return;
-  }
 }
 
 std::string GridView::render_sparkline(Metric metric, std::size_t width) const {

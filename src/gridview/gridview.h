@@ -72,7 +72,6 @@ class GridView final : public cluster::Daemon {
   void set_aggregate_mode(bool on) noexcept { aggregate_mode_ = on; }
 
  private:
-  void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
   void refresh();

@@ -27,6 +27,30 @@ KernelApi::KernelApi(cluster::Cluster& cluster, net::NodeId node,
     r.gauge("api.duplicate_replies")
         ->set(static_cast<double>(duplicate_replies_));
   });
+
+  on<EsNotifyMsg>([this](const EsNotifyMsg& notify) {
+    if (on_event_) on_event_(notify.event);
+  });
+  on<ExitNotifyMsg>([this](const ExitNotifyMsg& exited) {
+    auto it = exit_watch_.find(exited.pid);
+    if (it == exit_watch_.end()) return;
+    auto cb = std::move(it->second);
+    exit_watch_.erase(it);
+    cb(exited.pid);
+  });
+  // Correlated replies: every protocol echoes the call's request/query id.
+  const auto by_request_id = [this](const auto& r) { finish(r.request_id, r); };
+  on<ConfigGetReplyMsg>(by_request_id);
+  on<ConfigSetReplyMsg>(by_request_id);
+  on<AuthReplyMsg>(by_request_id);
+  on<AuthzReplyMsg>(by_request_id);
+  on<CheckpointSaveReplyMsg>(by_request_id);
+  on<CheckpointLoadReplyMsg>(by_request_id);
+  on<SpawnReplyMsg>(by_request_id);
+  on<ParallelCmdReplyMsg>(by_request_id);
+  const auto by_query_id = [this](const auto& r) { finish(r.query_id, r); };
+  on<DbQueryReplyMsg>(by_query_id);
+  on<DbServiceStatsReplyMsg>(by_query_id);
   start();
 }
 
@@ -41,16 +65,17 @@ net::CallOptions KernelApi::resolve(net::CallOptions opts) const noexcept {
   return opts;
 }
 
-net::Address KernelApi::resolve_target(const Call& call, net::Address* home_out) {
-  if (!call.use_directory) {
-    if (home_out) *home_out = call.fixed_target;
-    return call.fixed_target;
+net::Address KernelApi::resolve_target(const Target& target,
+                                       net::Address* home_out) {
+  if (target.fixed) {
+    if (home_out) *home_out = *target.fixed;
+    return *target.fixed;
   }
   const net::PartitionId home_p =
-      call.federated ? home_partition_ : net::PartitionId{0};
-  const net::Address home = kernel_.service_address(call.service, home_p);
+      target.federated ? home_partition_ : net::PartitionId{0};
+  const net::Address home = kernel_.service_address(target.service, home_p);
   if (home_out) *home_out = home;
-  if (!call.federated) return home;
+  if (!target.federated) return home;
   // Federation failover: the home instance is preferred, but while its host
   // node is down (recovery not yet complete) any live peer instance is a
   // full access point — walk the partition ring and take the first one.
@@ -58,7 +83,7 @@ net::Address KernelApi::resolve_target(const Call& call, net::Address* home_out)
   for (std::size_t i = 0; i < parts; ++i) {
     const net::PartitionId p{
         static_cast<std::uint32_t>((home_p.value + i) % parts)};
-    const net::Address a = kernel_.service_address(call.service, p);
+    const net::Address a = kernel_.service_address(target.service, p);
     if (cluster().node(a.node).alive()) return a;
   }
   return home;
@@ -96,7 +121,7 @@ void KernelApi::start_attempt(std::uint64_t id) {
   }
 
   net::Address home;
-  const net::Address target = resolve_target(c, &home);
+  const net::Address target = resolve_target(c.target, &home);
   const net::Address prev = c.attempt == 1 ? home : c.last_target;
   const bool rerouted = target != prev;
   if (rerouted) {
@@ -222,117 +247,107 @@ void KernelApi::finish(std::uint64_t id, const net::Message& msg) {
   if (c.complete) c.complete(msg);
 }
 
+// --- the one request/reply call path -------------------------------------------
+
+template <typename Reply, typename T, typename Req, typename Map>
+void KernelApi::call(std::shared_ptr<Req> request, Target target,
+                     const char* op, Callback<T> done, CallOptions opts,
+                     Map map) {
+  const std::uint64_t id = next_id_++;
+  request->reply_to = address();
+  if constexpr (requires(Req& r) { r.query_id; }) {
+    request->query_id = id;
+  } else {
+    request->request_id = id;
+  }
+  Call c;
+  c.complete = [this, done, map = std::move(map)](const net::Message& m) {
+    if (m.type_id() != Reply::static_type_id()) return;
+    Result<T> result = map(static_cast<const Reply&>(m));
+    if (result.status == Status::kDenied) ++denied_;  // the service refused
+    if (done) done(std::move(result));
+  };
+  c.fail = [done](Status s) {
+    if (done) done(Result<T>::failure(s));
+  };
+  c.attempt_field = &request->attempt;
+  c.request = std::move(request);
+  c.target = target;
+  c.opts = resolve(opts);
+  launch(id, std::move(c), op);
+}
+
+void KernelApi::send_one_way(std::shared_ptr<net::Message> request,
+                             const char* op, Callback<bool> done,
+                             CallOptions opts) {
+  Call c;
+  c.fail = [done](Status s) {
+    if (!done) return;
+    done(s == Status::kOk ? Result<bool>::success(true)
+                          : Result<bool>::failure(s));
+  };
+  c.request = std::move(request);
+  c.target = Target::federation(ServiceKind::kEventService);
+  c.one_way = true;
+  c.opts = resolve(opts);
+  launch(next_id_++, std::move(c), op);
+}
+
 // --- configuration -------------------------------------------------------------
 
 void KernelApi::config_get(const std::string& key,
                            Callback<std::optional<std::string>> done,
                            CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<ConfigGetMsg>();
   msg->key = key;
-  msg->reply_to = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<ConfigGetReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    using R = Result<std::optional<std::string>>;
-    done(reply->found ? R::success(reply->value) : R::success(std::nullopt));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<std::optional<std::string>>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kConfiguration;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "config_get");
+  call<ConfigGetReplyMsg>(
+      std::move(msg), Target::singleton(ServiceKind::kConfiguration),
+      "config_get", std::move(done), opts, [](const ConfigGetReplyMsg& r) {
+        using R = Result<std::optional<std::string>>;
+        return r.found ? R::success(r.value) : R::success(std::nullopt);
+      });
 }
 
 void KernelApi::config_set(const std::string& key, const std::string& value,
                            Callback<std::uint64_t> done, CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<ConfigSetMsg>();
   msg->key = key;
   msg->value = value;
-  msg->reply_to = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<ConfigSetReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    done(Result<std::uint64_t>::success(reply->version));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<std::uint64_t>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kConfiguration;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "config_set");
+  call<ConfigSetReplyMsg>(
+      std::move(msg), Target::singleton(ServiceKind::kConfiguration),
+      "config_set", std::move(done), opts, [](const ConfigSetReplyMsg& r) {
+        return Result<std::uint64_t>::success(r.version);
+      });
 }
 
 // --- security -------------------------------------------------------------------
 
 void KernelApi::authenticate(const std::string& user, const std::string& secret,
                              Callback<Token> done, CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<AuthRequestMsg>();
   msg->user = user;
   msg->secret = secret;
-  msg->reply_to = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [this, done](const net::Message& m) {
-    const auto* reply = net::message_cast<AuthReplyMsg>(m);
-    if (reply == nullptr) return;
-    if (!reply->ok) {
-      ++denied_;
-      if (done) done(Result<Token>::failure(Status::kDenied));
-      return;
-    }
-    if (done) done(Result<Token>::success(reply->token));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<Token>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kSecurity;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "authenticate");
+  call<AuthReplyMsg>(
+      std::move(msg), Target::singleton(ServiceKind::kSecurity), "authenticate",
+      std::move(done), opts, [](const AuthReplyMsg& r) {
+        return r.ok ? Result<Token>::success(r.token)
+                    : Result<Token>::failure(Status::kDenied);
+      });
 }
 
 void KernelApi::authorize(const Token& token, const std::string& action,
                           const std::string& resource, Callback<bool> done,
                           CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<AuthzRequestMsg>();
   msg->token = token;
   msg->action = action;
   msg->resource = resource;
-  msg->reply_to = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [this, done](const net::Message& m) {
-    const auto* reply = net::message_cast<AuthzReplyMsg>(m);
-    if (reply == nullptr) return;
-    if (!reply->allowed) {
-      ++denied_;
-      if (done) done(Result<bool>::failure(Status::kDenied));
-      return;
-    }
-    if (done) done(Result<bool>::success(true));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<bool>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kSecurity;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "authorize");
+  call<AuthzReplyMsg>(
+      std::move(msg), Target::singleton(ServiceKind::kSecurity), "authorize",
+      std::move(done), opts, [](const AuthzReplyMsg& r) {
+        return r.allowed ? Result<bool>::success(true)
+                         : Result<bool>::failure(Status::kDenied);
+      });
 }
 
 // --- checkpoint -----------------------------------------------------------------
@@ -340,56 +355,32 @@ void KernelApi::authorize(const Token& token, const std::string& action,
 void KernelApi::checkpoint_save(const std::string& service,
                                 const std::string& key, std::string data,
                                 Callback<std::uint64_t> done, CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<CheckpointSaveMsg>();
   msg->service = service;
   msg->key = key;
   msg->data = std::move(data);
-  msg->reply_to = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<CheckpointSaveReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    done(Result<std::uint64_t>::success(reply->version));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<std::uint64_t>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kCheckpointService;
-  c.federated = true;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "checkpoint_save");
+  call<CheckpointSaveReplyMsg>(
+      std::move(msg), Target::federation(ServiceKind::kCheckpointService),
+      "checkpoint_save", std::move(done), opts,
+      [](const CheckpointSaveReplyMsg& r) {
+        return Result<std::uint64_t>::success(r.version);
+      });
 }
 
 void KernelApi::checkpoint_load(const std::string& service,
                                 const std::string& key,
                                 Callback<std::optional<std::string>> done,
                                 CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<CheckpointLoadMsg>();
   msg->service = service;
   msg->key = key;
-  msg->reply_to = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<CheckpointLoadReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    using R = Result<std::optional<std::string>>;
-    done(reply->found ? R::success(reply->data) : R::success(std::nullopt));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<std::optional<std::string>>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kCheckpointService;
-  c.federated = true;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "checkpoint_load");
+  call<CheckpointLoadReplyMsg>(
+      std::move(msg), Target::federation(ServiceKind::kCheckpointService),
+      "checkpoint_load", std::move(done), opts,
+      [](const CheckpointLoadReplyMsg& r) {
+        using R = Result<std::optional<std::string>>;
+        return r.found ? R::success(r.data) : R::success(std::nullopt);
+      });
 }
 
 // --- data bulletin --------------------------------------------------------------
@@ -397,55 +388,26 @@ void KernelApi::checkpoint_load(const std::string& service,
 void KernelApi::query(BulletinTable table, bool cluster_scope,
                       BulletinFilter filter, Callback<BulletinSnapshot> done,
                       CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<DbQueryMsg>();
   msg->table = table;
   msg->cluster_scope = cluster_scope;
   msg->filter = std::move(filter);
-  msg->reply_to = address();
-  msg->query_id = id;
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<DbQueryReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    BulletinSnapshot snap;
-    snap.nodes = reply->node_rows;
-    snap.apps = reply->app_rows;
-    snap.partitions_included = reply->partitions_included;
-    done(Result<BulletinSnapshot>::success(std::move(snap)));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<BulletinSnapshot>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kDataBulletin;
-  c.federated = true;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "query");
+  call<DbQueryReplyMsg>(
+      std::move(msg), Target::federation(ServiceKind::kDataBulletin), "query",
+      std::move(done), opts, [](const DbQueryReplyMsg& r) {
+        return Result<BulletinSnapshot>::success(BulletinSnapshot{
+            r.node_rows, r.app_rows, r.partitions_included});
+      });
 }
 
 void KernelApi::service_stats(Callback<std::vector<ServiceStatsRecord>> done,
                               CallOptions opts) {
-  const std::uint64_t id = next_id_++;
-  auto msg = std::make_shared<DbServiceStatsQueryMsg>();
-  msg->reply_to = address();
-  msg->query_id = id;
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<DbServiceStatsReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    done(Result<std::vector<ServiceStatsRecord>>::success(reply->rows));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<std::vector<ServiceStatsRecord>>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.service = ServiceKind::kDataBulletin;
-  c.federated = true;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "service_stats");
+  call<DbServiceStatsReplyMsg>(
+      std::make_shared<DbServiceStatsQueryMsg>(),
+      Target::federation(ServiceKind::kDataBulletin), "service_stats",
+      std::move(done), opts, [](const DbServiceStatsReplyMsg& r) {
+        return Result<std::vector<ServiceStatsRecord>>::success(r.rows);
+      });
 }
 
 // --- events ---------------------------------------------------------------------
@@ -453,40 +415,16 @@ void KernelApi::service_stats(Callback<std::vector<ServiceStatsRecord>> done,
 void KernelApi::subscribe(std::vector<std::string> types, EventCallback on_event,
                           Callback<bool> done, CallOptions opts) {
   on_event_ = std::move(on_event);
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<EsSubscribeMsg>();
   msg->subscription.consumer = address();
   msg->subscription.types = std::move(types);
-  Call c;
-  c.fail = [done](Status s) {
-    if (!done) return;
-    done(s == Status::kOk ? Result<bool>::success(true)
-                          : Result<bool>::failure(s));
-  };
-  c.request = std::move(msg);
-  c.service = ServiceKind::kEventService;
-  c.federated = true;
-  c.one_way = true;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "subscribe");
+  send_one_way(std::move(msg), "subscribe", std::move(done), opts);
 }
 
 void KernelApi::publish(Event event, Callback<bool> done, CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<EsPublishMsg>();
   msg->event = std::move(event);
-  Call c;
-  c.fail = [done](Status s) {
-    if (!done) return;
-    done(s == Status::kOk ? Result<bool>::success(true)
-                          : Result<bool>::failure(s));
-  };
-  c.request = std::move(msg);
-  c.service = ServiceKind::kEventService;
-  c.federated = true;
-  c.one_way = true;
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "publish");
+  send_one_way(std::move(msg), "publish", std::move(done), opts);
 }
 
 // --- ppm ------------------------------------------------------------------------
@@ -495,33 +433,18 @@ void KernelApi::spawn(net::NodeId node, ProcessSpec spec,
                       Callback<cluster::Pid> done,
                       std::function<void(cluster::Pid)> on_exit,
                       CallOptions opts) {
-  const std::uint64_t id = next_id_++;
   auto msg = std::make_shared<SpawnMsg>();
   msg->spec = std::move(spec);
-  msg->reply_to = address();
   if (on_exit) msg->exit_notify = address();
-  msg->request_id = id;
-  Call c;
-  c.complete = [this, done, on_exit](const net::Message& m) {
-    const auto* reply = net::message_cast<SpawnReplyMsg>(m);
-    if (reply == nullptr) return;
-    if (!reply->ok) {
-      ++denied_;
-      if (done) done(Result<cluster::Pid>::failure(Status::kDenied));
-      return;
-    }
-    if (on_exit) exit_watch_[reply->pid] = on_exit;
-    if (done) done(Result<cluster::Pid>::success(reply->pid));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<cluster::Pid>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.use_directory = false;
-  c.fixed_target = {node, port_of(ServiceKind::kProcessManager)};
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "spawn");
+  call<SpawnReplyMsg>(
+      std::move(msg),
+      Target::at({node, port_of(ServiceKind::kProcessManager)}),
+      "spawn", std::move(done), opts,
+      [this, on_exit = std::move(on_exit)](const SpawnReplyMsg& r) {
+        if (!r.ok) return Result<cluster::Pid>::failure(Status::kDenied);
+        if (on_exit) exit_watch_[r.pid] = on_exit;
+        return Result<cluster::Pid>::success(r.pid);
+      });
 }
 
 void KernelApi::parallel_command(const std::string& command,
@@ -533,62 +456,19 @@ void KernelApi::parallel_command(const std::string& command,
     if (done) done(Result<CommandOutcome>::success({}));
     return;
   }
-  const std::uint64_t id = next_id_++;
+  const net::NodeId root = nodes.front();
   auto msg = std::make_shared<ParallelCmdMsg>();
   msg->command = command;
   msg->nodes = std::move(nodes);
   msg->fanout = fanout;
-  msg->reply_to = address();
-  msg->request_id = id;
-  const net::NodeId root = msg->nodes.front();
-  Call c;
-  c.complete = [done](const net::Message& m) {
-    const auto* reply = net::message_cast<ParallelCmdReplyMsg>(m);
-    if (reply == nullptr || !done) return;
-    done(Result<CommandOutcome>::success(
-        CommandOutcome{reply->succeeded, reply->failed}));
-  };
-  c.fail = [done](Status s) {
-    if (done) done(Result<CommandOutcome>::failure(s));
-  };
-  c.attempt_field = &msg->attempt;
-  c.request = std::move(msg);
-  c.use_directory = false;
-  c.fixed_target = {root, port_of(ServiceKind::kProcessManager)};
-  c.opts = resolve(opts);
-  launch(id, std::move(c), "parallel_command");
-}
-
-// --- dispatch -------------------------------------------------------------------
-
-void KernelApi::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-
-  if (const auto* notify = net::message_cast<EsNotifyMsg>(m)) {
-    if (on_event_) on_event_(notify->event);
-    return;
-  }
-  if (const auto* exited = net::message_cast<ExitNotifyMsg>(m)) {
-    auto it = exit_watch_.find(exited->pid);
-    if (it != exit_watch_.end()) {
-      auto cb = std::move(it->second);
-      exit_watch_.erase(it);
-      cb(exited->pid);
-    }
-    return;
-  }
-
-  // Correlated replies: every protocol uses a request/query id field.
-  if (const auto* r = net::message_cast<ConfigGetReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<ConfigSetReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<AuthReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<AuthzReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<CheckpointSaveReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<CheckpointLoadReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<DbQueryReplyMsg>(m)) return finish(r->query_id, m);
-  if (const auto* r = net::message_cast<DbServiceStatsReplyMsg>(m)) return finish(r->query_id, m);
-  if (const auto* r = net::message_cast<SpawnReplyMsg>(m)) return finish(r->request_id, m);
-  if (const auto* r = net::message_cast<ParallelCmdReplyMsg>(m)) return finish(r->request_id, m);
+  call<ParallelCmdReplyMsg>(
+      std::move(msg),
+      Target::at({root, port_of(ServiceKind::kProcessManager)}),
+      "parallel_command", std::move(done), opts,
+      [](const ParallelCmdReplyMsg& r) {
+        return Result<CommandOutcome>::success(
+            CommandOutcome{r.succeeded, r.failed});
+      });
 }
 
 }  // namespace phoenix::kernel

@@ -16,6 +16,12 @@
 // retries safe: a retransmitted config_set / spawn / checkpoint_save is
 // answered from the cache, never applied twice.
 //
+// All ten request/reply operations take one code path, call<Reply>(): the
+// request, its target (a directory-resolved service, optionally federated,
+// or a fixed PPM address), an op name for tracing, and a mapper from the
+// typed reply to Result<T>. Replies are routed by type through the Daemon
+// dispatch table and matched to their call by request (or query) id.
+//
 // Every user environment in this repository could be written against this
 // class alone; GridView-style monitors, submission portals, and management
 // tools need nothing else from the kernel.
@@ -175,7 +181,19 @@ class KernelApi final : public cluster::Daemon {
   std::uint64_t duplicate_replies() const noexcept { return duplicate_replies_; }
 
  private:
-  void handle(const net::Envelope& env) override;
+  /// Where a call goes: a directory-resolved kernel service — the
+  /// partition-0 singleton, or a federation whose calls rotate to a live
+  /// peer instance while the home instance's node is down — or a fixed
+  /// address (PPM calls).
+  struct Target {
+    ServiceKind service = ServiceKind::kConfiguration;
+    bool federated = false;
+    std::optional<net::Address> fixed;  // set: bypasses the directory
+
+    static Target singleton(ServiceKind s) { return {s, false, std::nullopt}; }
+    static Target federation(ServiceKind s) { return {s, true, std::nullopt}; }
+    static Target at(net::Address a) { return {ServiceKind{}, false, a}; }
+  };
 
   /// One in-flight call: typed completion closures plus the retry state
   /// machine (request to retransmit, resolved options, attempt count,
@@ -185,11 +203,8 @@ class KernelApi final : public cluster::Daemon {
     std::function<void(Status)> fail;                   // on any failure
     std::shared_ptr<net::Message> request;
     std::uint16_t* attempt_field = nullptr;  // request's attempt ordinal slot
-    ServiceKind service = ServiceKind::kConfiguration;  // directory-resolved
-    bool use_directory = true;   // false: fixed_target (PPM calls)
-    bool federated = false;      // dead home -> rotate to a live instance
+    Target target;
     bool one_way = false;        // completes kOk at transmit time
-    net::Address fixed_target;
     net::CallOptions opts;       // resolved (no inherit markers left)
     sim::SimTime deadline_at = 0;
     int attempt = 0;             // attempts started (1 = first send)
@@ -207,8 +222,22 @@ class KernelApi final : public cluster::Daemon {
   /// Fills in inherited defaults; !idempotent forces a single attempt.
   net::CallOptions resolve(net::CallOptions opts) const noexcept;
 
-  /// Registers the call under a fresh id and launches the first attempt.
-  /// The caller has already stamped the id into the request message.
+  /// The one request/reply path every operation takes: stamps `request`
+  /// with this endpoint's reply address and a fresh correlation id, then
+  /// runs the retry machine against `target`. `map` turns the matching
+  /// Reply into the caller's Result<T>; a kDenied result counts in
+  /// denied_calls().
+  template <typename Reply, typename T, typename Req, typename Map>
+  void call(std::shared_ptr<Req> request, Target target, const char* op,
+            Callback<T> done, CallOptions opts, Map map);
+
+  /// Event-service one-way (subscribe, publish): completes kOk once an
+  /// attempt is on the wire and is never re-sent after that.
+  void send_one_way(std::shared_ptr<net::Message> request, const char* op,
+                    Callback<bool> done, CallOptions opts);
+
+  /// Registers the call under `id` and launches the first attempt. The
+  /// caller has already stamped the id into the request message.
   void launch(std::uint64_t id, Call call, const char* op);
   void record_call_span(const Call& call, std::string_view outcome);
   void start_attempt(std::uint64_t id);
@@ -219,7 +248,7 @@ class KernelApi final : public cluster::Daemon {
   /// Where the next attempt goes. For federated services, the first
   /// partition (ring-wise from home) whose instance sits on a live node;
   /// `home_out` receives the un-rotated home address (reroute accounting).
-  net::Address resolve_target(const Call& call, net::Address* home_out);
+  net::Address resolve_target(const Target& target, net::Address* home_out);
 
   PhoenixKernel& kernel_;
   net::PartitionId home_partition_;

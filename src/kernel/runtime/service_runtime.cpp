@@ -13,6 +13,7 @@ ServiceRuntime::ServiceRuntime(cluster::Cluster& cluster, std::string name,
       directory_(directory),
       params_(params),
       opts_(std::move(opts)),
+      replay_(opts_.replay_capacity),
       metrics_(&cluster.metrics()),
       spans_(&cluster.span_store()) {
   // Every runtime understands the fencing broadcast; under the unilateral
@@ -23,8 +24,8 @@ ServiceRuntime::ServiceRuntime(cluster::Cluster& cluster, std::string name,
   if (opts_.recover_on_start) {
     // The recovery loop is the only handler the runtime registers itself; a
     // service that needs CheckpointLoadReplyMsg for its own protocol (the
-    // checkpoint federation, the GSD view fetch) keeps recover_on_start off
-    // and owns the type.
+    // checkpoint federation, the GSD view fetch, the PWS scheduler's
+    // one-shot restore) keeps recover_on_start off and owns the type.
     on<CheckpointLoadReplyMsg>([this](const CheckpointLoadReplyMsg& reply) {
       on_recovery_reply(reply);
     });
@@ -64,14 +65,11 @@ void ServiceRuntime::handle(const net::Envelope& env) {
     handle_observed(env, id);
     return;
   }
-  dispatch(env, id);
+  serve(env, id);
 }
 
-void ServiceRuntime::dispatch(const net::Envelope& env, net::MessageTypeId id) {
-  if (id.value < table_.size() && table_[id.value]) {
-    table_[id.value](env);
-    return;
-  }
+void ServiceRuntime::serve(const net::Envelope& env, net::MessageTypeId id) {
+  if (dispatch(env, id)) return;
   ++counters_.messages_unhandled;
   on_unhandled(env);
 }
@@ -93,7 +91,7 @@ void ServiceRuntime::handle_observed(const net::Envelope& env,
   }
   const obs::TraceContext ctx = obs::current_context();
   if (spans_->enabled() && ctx.active()) {
-    const bool handled = id.value < table_.size() && table_[id.value] != nullptr;
+    const bool handled = handles(id);
     const std::uint64_t span_id = spans_->mint_id();
     const sim::SimTime started = now();
     serve_outcome_ = nullptr;
@@ -101,7 +99,7 @@ void ServiceRuntime::handle_observed(const net::Envelope& env,
       // Handlers (and their replies) parent to this serve span; a dedup hit
       // in serve_mutating reports itself through serve_outcome_.
       obs::ContextScope scope(obs::TraceContext{ctx.trace_id, span_id});
-      dispatch(env, id);
+      serve(env, id);
     }
     const char* outcome = serve_outcome_ != nullptr ? serve_outcome_
                           : handled                 ? "handled"
@@ -113,7 +111,7 @@ void ServiceRuntime::handle_observed(const net::Envelope& env,
                              outcome});
     return;
   }
-  dispatch(env, id);
+  serve(env, id);
 }
 
 void ServiceRuntime::on_start() {
@@ -184,21 +182,22 @@ void ServiceRuntime::save_state() {
       std::move(save));
 }
 
-void ServiceRuntime::mark_dirty() {
+void ServiceRuntime::mark_dirty(sim::SimTime window) {
   if (directory_ == nullptr || opts_.checkpoint_namespace.empty()) return;
-  if (!ever_saved_ || last_save_time_ != now()) {
-    // Leading edge: the first change in this tick checkpoints immediately
-    // (identical wire behaviour to save-on-every-change when changes land
-    // on distinct ticks, which is the steady-state case).
+  const sim::SimTime since = now() - last_save_time_;
+  if (!ever_saved_ || (since > 0 && since >= window)) {
+    // Leading edge: a change after a quiet stretch checkpoints immediately
+    // (identical wire behaviour to save-on-every-change when changes are
+    // spaced wider than the window, which is the steady-state case).
     save_state();
     return;
   }
-  // Already saved at this instant; fold further same-tick changes into one
-  // trailing flush at the end of the tick.
+  // Saved recently; fold further changes into one trailing flush at the end
+  // of the window (the end of this tick for window 0).
   dirty_ = true;
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
-  engine().schedule_after(0, [this] {
+  engine().schedule_after(window - since, [this] {
     flush_scheduled_ = false;
     if (dirty_ && alive()) save_state();
   });

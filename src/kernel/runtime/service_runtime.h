@@ -5,10 +5,10 @@
 // the GSD ring (§4.3). This layer sits between cluster::Daemon and each
 // service and owns the four things they previously hand-rolled:
 //
-//   1. Declarative typed dispatch — a service registers `on<MsgT>(handler)`
-//      once at construction; handle() routes by interned message-type id
-//      through a dense table (one array index, one indirect call) instead of
-//      a per-service if/cast chain.
+//   1. Observed dispatch — a service registers `on<MsgT>(handler)` with
+//      cluster::Daemon's dense table; the runtime's handle() counts each
+//      delivery by type and wraps the same table lookup in a serve span
+//      when tracing is on.
 //   2. At-most-once serving — serve_mutating()/serve_idempotent() own the
 //      ReplayCache begin/complete protocol, so a retried RPC replays its
 //      original reply instead of being applied twice.
@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -108,6 +107,8 @@ class ServiceRuntime : public cluster::Daemon {
     /// Extension component name stamped into ServiceUpMsg (empty for the
     /// built-in kernel services).
     std::string extension{};
+    /// Entries kept by the at-most-once replay cache.
+    std::size_t replay_capacity = 256;
   };
 
   const RuntimeCounters& counters() const noexcept { return counters_; }
@@ -141,31 +142,6 @@ class ServiceRuntime : public cluster::Daemon {
 
   ServiceDirectory* directory() const noexcept { return directory_; }
   const Options& options() const noexcept { return opts_; }
-
-  // --- declarative dispatch -------------------------------------------------
-
-  /// Registers `fn` for MsgT, keyed by the class's interned type id. The
-  /// handler signature is either (const MsgT&) or (const MsgT&, const
-  /// net::Envelope&) for handlers that need the source address or network.
-  /// All message classes are final, so an id match makes the static_cast
-  /// exact. Call once per type, at construction.
-  template <typename MsgT, typename F>
-  void on(F&& fn) {
-    static_assert(std::is_base_of_v<net::Message, MsgT>);
-    static_assert(std::is_final_v<MsgT>,
-                  "dispatch casts by exact type id; MsgT must be final");
-    const net::MessageTypeId id = MsgT::static_type_id();
-    if (id.value >= table_.size()) table_.resize(id.value + std::size_t{1});
-    table_[id.value] = [fn = std::forward<F>(fn)](const net::Envelope& env) {
-      const auto& msg = static_cast<const MsgT&>(*env.message);
-      if constexpr (std::is_invocable_v<const F&, const MsgT&,
-                                        const net::Envelope&>) {
-        fn(msg, env);
-      } else {
-        fn(msg);
-      }
-    };
-  }
 
   // --- at-most-once serving -------------------------------------------------
 
@@ -259,12 +235,14 @@ class ServiceRuntime : public cluster::Daemon {
   /// Saves snapshot() into the checkpoint federation immediately.
   void save_state();
 
-  /// Checkpoint-on-change with per-tick coalescing: the first change in a
-  /// simulation tick saves immediately (leading edge); further changes in
-  /// the same tick are folded into one trailing flush at the end of the
-  /// tick. Cuts the save traffic of burst updates (e.g. an EsSyncMsg batch)
-  /// from O(changes) to at most two messages per tick.
-  void mark_dirty();
+  /// Checkpoint-on-change with coalescing: a change more than `window`
+  /// after the last save (or, for window 0, in a later simulation tick)
+  /// saves immediately (leading edge); further changes are folded into one
+  /// trailing flush at last save + window. Window 0 is per-tick coalescing,
+  /// which cuts the save traffic of burst updates (e.g. an EsSyncMsg batch)
+  /// from O(changes) to at most two messages per tick; a positive window is
+  /// bounded-staleness durability for high-churn state.
+  void mark_dirty(sim::SimTime window = 0);
 
  private:
   void handle(const net::Envelope& env) final;
@@ -274,7 +252,8 @@ class ServiceRuntime : public cluster::Daemon {
   /// Slow path of handle(): serve span + serve-latency histogram. Split out
   /// so the default path stays the dense-table dispatch plus one branch.
   void handle_observed(const net::Envelope& env, net::MessageTypeId id);
-  void dispatch(const net::Envelope& env, net::MessageTypeId id);
+  /// Table dispatch, with unhandled-type accounting.
+  void serve(const net::Envelope& env, net::MessageTypeId id);
 
   void attempt_recovery_load();
   void on_recovery_reply(const CheckpointLoadReplyMsg& reply);
@@ -283,7 +262,6 @@ class ServiceRuntime : public cluster::Daemon {
   ServiceDirectory* directory_;
   const FtParams* params_;
   Options opts_;
-  std::vector<std::function<void(const net::Envelope&)>> table_;
   net::ReplayCache replay_;
   RuntimeCounters counters_;
 

@@ -63,7 +63,7 @@ class Message {
 
 /// Declares type(), a cached type_id(), and a class-level static_type_id()
 /// for a Message subclass. static_type_id() lets dispatch tables resolve a
-/// handler slot from the class alone (ServiceRuntime::on<MsgT>) without an
+/// handler slot from the class alone (cluster::Daemon::on<MsgT>) without an
 /// instance in hand.
 #define PHOENIX_MESSAGE_TYPE(name)                                      \
   static ::phoenix::net::MessageTypeId static_type_id() noexcept {      \
@@ -83,6 +83,7 @@ using MessagePtr = std::unique_ptr<Message>;
 inline constexpr std::size_t kWireHeaderBytes = 64;
 
 /// Downcast helper: returns nullptr when the runtime type does not match.
+/// For tests and benches; daemons dispatch through Daemon::on<MsgT>.
 template <typename T>
 const T* message_cast(const Message& m) noexcept {
   return dynamic_cast<const T*>(&m);

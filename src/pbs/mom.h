@@ -77,8 +77,6 @@ class Mom final : public cluster::Daemon {
   Mom(cluster::Cluster& cluster, net::NodeId node, double cpu_share = 0.0);
 
  private:
-  void handle(const net::Envelope& env) override;
-
   std::vector<cluster::Pid> launched_;
 };
 

@@ -11,7 +11,52 @@ PbsServer::PbsServer(cluster::Cluster& cluster, net::NodeId node,
     : Daemon(cluster, "pbs.server", node, cluster::ports::kPbsServer),
       compute_nodes_(std::move(compute_nodes)),
       poll_interval_(poll_interval),
-      poller_(cluster.engine(), poll_interval, [this] { poll_all(); }) {}
+      poller_(cluster.engine(), poll_interval, [this] { poll_all(); }) {
+  on<MomSpawnReplyMsg>([this](const MomSpawnReplyMsg& reply) {
+    auto it = pending_spawns_.find(reply.request_id);
+    if (it == pending_spawns_.end() || !reply.ok) return;
+    const auto [job_id, job_node] = it->second;
+    pending_spawns_.erase(it);
+    auto job_it = jobs_.find(job_id);
+    if (job_it == jobs_.end()) return;
+    job_it->second.pids[job_node.value] = reply.pid;
+    pid_to_job_[reply.pid] = job_id;
+    pid_expected_exit_[reply.pid] = now() + job_it->second.duration;
+  });
+
+  on<PollReplyMsg>([this](const PollReplyMsg& poll) {
+    // Completion is only discovered here — the polling lag the paper
+    // criticizes.
+    for (const auto& proc : poll.job_processes) {
+      if (proc.running) continue;
+      auto pit = pid_to_job_.find(proc.pid);
+      if (pit == pid_to_job_.end()) continue;
+      const JobId job_id = pit->second;
+      pid_to_job_.erase(pit);
+      auto expected = pid_expected_exit_.find(proc.pid);
+      if (expected != pid_expected_exit_.end()) {
+        if (now() > expected->second) {
+          completion_lag_sum_s_ += sim::to_seconds(now() - expected->second);
+          ++completion_lag_count_;
+        }
+        pid_expected_exit_.erase(expected);
+      }
+      auto job_it = jobs_.find(job_id);
+      if (job_it == jobs_.end()) continue;
+      Job& job = job_it->second;
+      ++job.exited;
+      if (node_running_[poll.node.value] == job_id) {
+        node_running_.erase(poll.node.value);
+      }
+      if (job.exited >= job.allocated.size() && job.state == JobState::kRunning) {
+        job.state = JobState::kCompleted;
+        job.finished_at = now();
+        ++stats_.completed;
+      }
+    }
+    schedule_jobs();
+  });
+}
 
 void PbsServer::on_start() {
   poller_.set_period(poll_interval_);
@@ -85,57 +130,6 @@ void PbsServer::poll_all() {
     poll->poll_id = next_request_id_++;
     send_any({n, cluster::ports::kPbsMom}, std::move(poll));
     ++stats_.polls_sent;
-  }
-}
-
-void PbsServer::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-
-  if (const auto* reply = net::message_cast<MomSpawnReplyMsg>(m)) {
-    auto it = pending_spawns_.find(reply->request_id);
-    if (it == pending_spawns_.end() || !reply->ok) return;
-    const auto [job_id, node] = it->second;
-    pending_spawns_.erase(it);
-    auto job_it = jobs_.find(job_id);
-    if (job_it == jobs_.end()) return;
-    job_it->second.pids[node.value] = reply->pid;
-    pid_to_job_[reply->pid] = job_id;
-    pid_expected_exit_[reply->pid] = now() + job_it->second.duration;
-    return;
-  }
-
-  if (const auto* poll = net::message_cast<PollReplyMsg>(m)) {
-    // Completion is only discovered here — the polling lag the paper
-    // criticizes.
-    for (const auto& proc : poll->job_processes) {
-      if (proc.running) continue;
-      auto pit = pid_to_job_.find(proc.pid);
-      if (pit == pid_to_job_.end()) continue;
-      const JobId job_id = pit->second;
-      pid_to_job_.erase(pit);
-      auto expected = pid_expected_exit_.find(proc.pid);
-      if (expected != pid_expected_exit_.end()) {
-        if (now() > expected->second) {
-          completion_lag_sum_s_ += sim::to_seconds(now() - expected->second);
-          ++completion_lag_count_;
-        }
-        pid_expected_exit_.erase(expected);
-      }
-      auto job_it = jobs_.find(job_id);
-      if (job_it == jobs_.end()) continue;
-      Job& job = job_it->second;
-      ++job.exited;
-      if (node_running_[poll->node.value] == job_id) {
-        node_running_.erase(poll->node.value);
-      }
-      if (job.exited >= job.allocated.size() && job.state == JobState::kRunning) {
-        job.state = JobState::kCompleted;
-        job.finished_at = now();
-        ++stats_.completed;
-      }
-    }
-    schedule_jobs();
-    return;
   }
 }
 

@@ -51,7 +51,6 @@ class PbsServer final : public cluster::Daemon {
   double mean_completion_lag_seconds() const;
 
  private:
-  void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
   void poll_all();

@@ -23,6 +23,25 @@ SubmissionGateway::SubmissionGateway(cluster::Cluster& cluster, net::NodeId node
     r.gauge("pws.gateway.backlog")->set(static_cast<double>(backlog_));
     r.gauge("pws.gateway.inflight")->set(static_cast<double>(inflight()));
   });
+
+  on<PwsSubmitBatchReplyMsg>([this](const PwsSubmitBatchReplyMsg& reply) {
+    auto it = inflight_.find(reply.request_id);
+    if (it == inflight_.end()) return;  // duplicate reply of a served retry
+    InflightBatch done = std::move(it->second);
+    inflight_.erase(it);
+    ++stats_.replies;
+    for (std::size_t i = 0; i < done.items.size(); ++i) {
+      const BatchSubmitResult result =
+          i < reply.results.size()
+              ? reply.results[i]
+              : BatchSubmitResult{0, SubmitStatus::kUnavailable};
+      finish_item(done.items[i], result);
+    }
+  });
+
+  on<PwsCancelBatchReplyMsg>([this](const PwsCancelBatchReplyMsg& reply) {
+    inflight_cancels_.erase(reply.request_id);
+  });
   start();
 }
 
@@ -218,28 +237,6 @@ void SubmissionGateway::arm_retry(std::uint64_t request_id, bool is_cancel) {
     send_any(config_.scheduler, it->second.message);
     arm_retry(request_id, false);
   });
-}
-
-void SubmissionGateway::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-  if (const auto* reply = net::message_cast<PwsSubmitBatchReplyMsg>(m)) {
-    auto it = inflight_.find(reply->request_id);
-    if (it == inflight_.end()) return;  // duplicate reply of a served retry
-    InflightBatch done = std::move(it->second);
-    inflight_.erase(it);
-    ++stats_.replies;
-    for (std::size_t i = 0; i < done.items.size(); ++i) {
-      const BatchSubmitResult result = i < reply->results.size()
-                                           ? reply->results[i]
-                                           : BatchSubmitResult{0, SubmitStatus::kUnavailable};
-      finish_item(done.items[i], result);
-    }
-    return;
-  }
-  if (const auto* reply = net::message_cast<PwsCancelBatchReplyMsg>(m)) {
-    inflight_cancels_.erase(reply->request_id);
-    return;
-  }
 }
 
 }  // namespace phoenix::pws

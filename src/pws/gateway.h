@@ -120,7 +120,6 @@ class SubmissionGateway final : public cluster::Daemon {
     int attempts = 1;
   };
 
-  void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
 

@@ -18,7 +18,20 @@ Portal::Portal(cluster::Cluster& cluster, net::NodeId node,
     : Daemon(cluster, "pws.portal", node, kPortalPort),
       kernel_(kernel),
       scheduler_(scheduler),
-      refresher_(cluster.engine(), refresh_interval, [this] { refresh(); }) {}
+      refresher_(cluster.engine(), refresh_interval, [this] { refresh(); }) {
+  on<PwsQueryReplyMsg>([this](const PwsQueryReplyMsg& reply) {
+    if (reply.request_id != pending_jobs_query_) return;
+    jobs_ = reply.jobs;
+    std::sort(jobs_.begin(), jobs_.end(),
+              [](const Job& a, const Job& b) { return a.id < b.id; });
+    ++refreshes_;
+  });
+
+  on<kernel::DbQueryReplyMsg>([this](const kernel::DbQueryReplyMsg& reply) {
+    if (reply.query_id != pending_nodes_query_) return;
+    nodes_ = reply.node_rows;
+  });
+}
 
 void Portal::on_start() { refresher_.start_after(1 * sim::kSecond); }
 
@@ -41,23 +54,6 @@ void Portal::refresh() {
   send_any(kernel_.service_address(kernel::ServiceKind::kDataBulletin,
                                    cluster().partition_of(node_id())),
            std::move(nodes_query));
-}
-
-void Portal::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-  if (const auto* reply = net::message_cast<PwsQueryReplyMsg>(m)) {
-    if (reply->request_id != pending_jobs_query_) return;
-    jobs_ = reply->jobs;
-    std::sort(jobs_.begin(), jobs_.end(),
-              [](const Job& a, const Job& b) { return a.id < b.id; });
-    ++refreshes_;
-    return;
-  }
-  if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != pending_nodes_query_) return;
-    nodes_ = reply->node_rows;
-    return;
-  }
 }
 
 bool Portal::shutdown_node(net::NodeId node) {

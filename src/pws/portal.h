@@ -47,7 +47,6 @@ class Portal final : public cluster::Daemon {
   bool start_node(net::NodeId node);
 
  private:
-  void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
   void refresh();

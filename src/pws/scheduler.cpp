@@ -15,7 +15,13 @@ constexpr std::size_t kNoPool = static_cast<std::size_t>(-1);
 
 PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
                            kernel::PhoenixKernel& kernel, PwsConfig config)
-    : Daemon(cluster, "pws.scheduler", node, cluster::ports::kPwsScheduler),
+    : ServiceRuntime(cluster, "pws.scheduler", node,
+                     cluster::ports::kPwsScheduler, &kernel, &kernel.params(),
+                     Options{.partition = cluster.partition_of(node),
+                             .checkpoint_namespace = "pws",
+                             .checkpoint_key = "jobs",
+                             .extension = "pws.scheduler",
+                             .replay_capacity = 1024}),
       kernel_(kernel),
       config_(std::move(config)),
       ticker_(cluster.engine(), config_.schedule_tick, [this] { schedule_pass(); }) {
@@ -46,13 +52,92 @@ PwsScheduler::PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
     r.gauge("pws.running")->set(static_cast<double>(running_jobs_));
     r.gauge("pws.jobs_tracked")->set(static_cast<double>(jobs_.size()));
   });
+
+  on<PwsSubmitMsg>([this](const PwsSubmitMsg& submit) { on_submit(submit); });
+  on<PwsSubmitBatchMsg>([this](const PwsSubmitBatchMsg& batch) {
+    serve_mutating(batch, [&] {
+      auto reply = std::make_shared<PwsSubmitBatchReplyMsg>();
+      reply->request_id = batch.request_id;
+      reply->results.reserve(batch.requests.size());
+      for (const auto& request : batch.requests) {
+        reply->results.push_back(submit_internal(request, false));
+      }
+      ++stats_.batches;
+      if (metrics_->enabled()) {
+        batches_ctr_->inc();
+        batch_size_hist_->record(batch.requests.size());
+      }
+      checkpoint_state();  // one (coalescible) checkpoint for the whole batch
+      request_pass_soon();
+      return reply;
+    });
+  });
+  on<PwsCancelBatchMsg>([this](const PwsCancelBatchMsg& batch) {
+    serve_mutating(batch, [&] {
+      auto reply = std::make_shared<PwsCancelBatchReplyMsg>();
+      reply->request_id = batch.request_id;
+      reply->cancelled.reserve(batch.job_ids.size());
+      for (const JobId id : batch.job_ids) {
+        reply->cancelled.push_back(cancel(id) ? 1 : 0);
+      }
+      return reply;
+    });
+  });
+  on<PwsCancelMsg>([this](const PwsCancelMsg& msg) {
+    serve_mutating(msg, [&] {
+      auto reply = std::make_shared<PwsCancelReplyMsg>();
+      reply->request_id = msg.request_id;
+      reply->cancelled = cancel(msg.job_id);
+      return reply;
+    });
+  });
+  on<PwsQueryMsg>([this](const PwsQueryMsg& query) {
+    serve_idempotent(query, [&] {
+      auto reply = std::make_shared<PwsQueryReplyMsg>();
+      reply->request_id = query.request_id;
+      for (const auto& [id, job] : jobs_) {
+        if (query.job_id != 0 && id != query.job_id) continue;
+        if (!query.user.empty() && job.user != query.user) continue;
+        reply->jobs.push_back(job);
+      }
+      return reply;
+    });
+  });
+  on<kernel::AuthzReplyMsg>(
+      [this](const kernel::AuthzReplyMsg& authz) { on_authz_reply(authz); });
+  on<kernel::SpawnReplyMsg>([this](const kernel::SpawnReplyMsg& spawn) {
+    auto it = pending_spawns_.find(spawn.request_id);
+    if (it == pending_spawns_.end()) return;
+    const PendingSpawn pending = it->second;
+    pending_spawns_.erase(it);
+    auto job_it = jobs_.find(pending.job);
+    if (job_it == jobs_.end() || !spawn.ok) return;
+    // The job may have ended while spawning; its cached line goes stale.
+    checkpoint_image_.invalidate(pending.job);
+    job_it->second.pids[pending.node.value] = spawn.pid;
+    pid_to_job_[spawn.pid] = pending.job;
+    checkpoint_state();
+  });
+  on<kernel::ExitNotifyMsg>([this](const kernel::ExitNotifyMsg& exit) {
+    complete_process(exit.pid, exit.node);
+  });
+  on<kernel::EsNotifyMsg>(
+      [this](const kernel::EsNotifyMsg& notify) { on_node_event(notify.event); });
+  // PWS keeps its own one-shot recovery load (recover_on_start is off), so
+  // it owns the load reply type.
+  on<kernel::CheckpointLoadReplyMsg>(
+      [this](const kernel::CheckpointLoadReplyMsg& load) {
+        on_recovery_load(load);
+      });
+  on<kernel::DbQueryReplyMsg>(
+      [this](const kernel::DbQueryReplyMsg& reply) { on_reconcile_reply(reply); });
 }
 
 PwsScheduler::~PwsScheduler() {
   if (metrics_ != nullptr && probe_id_ != 0) metrics_->unregister_probe(probe_id_);
 }
 
-void PwsScheduler::on_start() {
+void PwsScheduler::on_service_start() {
   ticker_.set_period(config_.schedule_tick);
   ticker_.start_after(config_.schedule_tick);
   subscribe_events();
@@ -64,7 +149,7 @@ void PwsScheduler::on_start() {
   started_before_ = true;
 }
 
-void PwsScheduler::on_stop() { ticker_.stop(); }
+void PwsScheduler::on_service_stop() { ticker_.stop(); }
 
 void PwsScheduler::subscribe_events() {
   kernel::Subscription sub;
@@ -73,19 +158,9 @@ void PwsScheduler::subscribe_events() {
                std::string(kernel::event_types::kNodeRecovered)};
   auto msg = std::make_shared<kernel::EsSubscribeMsg>();
   msg->subscription = std::move(sub);
-  const auto partition = cluster().partition_of(node_id());
-  send_any(kernel_.service_address(ServiceKind::kEventService, partition),
+  send_any(kernel_.service_address(ServiceKind::kEventService,
+                                   options().partition),
            std::move(msg));
-}
-
-void PwsScheduler::announce_up() {
-  const auto partition = cluster().partition_of(node_id());
-  auto up = std::make_shared<kernel::ServiceUpMsg>();
-  up->extension = "pws.scheduler";
-  up->partition = partition;
-  up->service = address();
-  send_any(kernel_.service_address(ServiceKind::kGroupService, partition),
-           std::move(up));
 }
 
 // --- submission ---------------------------------------------------------------
@@ -125,6 +200,24 @@ BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
     return {0, SubmitStatus::kAdmissionDenied};
   }
 
+  Job job = new_job(request, user_sym, JobState::kQueued);
+  const std::size_t pool_index = pool_index_of(job.pool_sym);
+  const JobId id = job.id;
+  if (pool_index == kNoPool) {
+    job.state = JobState::kRejected;
+    ++stats_.rejected;
+    jobs_.emplace(id, std::move(job));
+    retire_if_unretained(id);
+    return {id, SubmitStatus::kUnknownPool};
+  }
+  enqueue_accepted(job, pool_index);
+  jobs_.emplace(id, std::move(job));
+  if (checkpoint_each) checkpoint_state();
+  return {id, SubmitStatus::kAccepted};
+}
+
+Job PwsScheduler::new_job(const SubmitRequest& request, net::SymbolId user_sym,
+                          JobState state) {
   Job job;
   job.id = next_job_id_++;
   job.name = request.name.empty() ? "job" + std::to_string(job.id) : request.name;
@@ -136,34 +229,95 @@ BatchSubmitResult PwsScheduler::submit_internal(const SubmitRequest& request,
   job.walltime_limit = request.walltime_limit;
   job.arch = request.arch;
   job.after_ok = request.after_ok;
-  job.state = JobState::kQueued;
+  job.state = state;
   job.submitted_at = now();
   job.user_sym = user_sym;
   job.pool_sym = net::intern_symbol(request.pool);
+  return job;
+}
 
-  const std::size_t pool_index = pool_index_of(job.pool_sym);
-  const JobId id = job.id;
-  if (pool_index == kNoPool) {
-    job.state = JobState::kRejected;
-    ++stats_.rejected;
-    jobs_.emplace(id, std::move(job));
-    retire_if_unretained(id);
-    return {id, SubmitStatus::kUnknownPool};
-  }
-  if (request.after_ok != 0) {
-    auto dep = jobs_.find(request.after_ok);
+void PwsScheduler::enqueue_accepted(Job& job, std::size_t pool_index) {
+  if (job.after_ok != 0) {
+    auto dep = jobs_.find(job.after_ok);
     if (dep != jobs_.end() && !dep->second.terminal()) {
-      dependents_[request.after_ok].push_back(id);
+      dependents_[job.after_ok].push_back(job.id);
     }
   }
-  pools_[pool_index].enqueue(job, usage_of_sym(user_sym));
-  jobs_.emplace(id, std::move(job));
+  job.state = JobState::kQueued;
+  pools_[pool_index].enqueue(job, usage_of_sym(job.user_sym));
   ++queued_jobs_;
   ++stats_.submitted;
   if (metrics_->enabled()) submitted_ctr_->inc();
   mark_pool_dirty(pool_index);
-  if (checkpoint_each) checkpoint_state();
-  return {id, SubmitStatus::kAccepted};
+}
+
+void PwsScheduler::on_submit(const PwsSubmitMsg& submit) {
+  serve_mutating(submit, [&]() -> std::shared_ptr<const net::Message> {
+    if (config_.use_security) {
+      // The job waits in kAuthorizing for the security service's verdict;
+      // on_authz_reply completes this request's replay-cache entry.
+      Job job = new_job(submit.request, net::intern_symbol(submit.request.user),
+                        JobState::kAuthorizing);
+      const JobId id = job.id;
+      jobs_.emplace(id, std::move(job));
+      auto authz = std::make_shared<kernel::AuthzRequestMsg>();
+      authz->token = submit.token;
+      authz->action = "job.submit";
+      authz->resource = "pool/" + submit.request.pool;
+      authz->reply_to = address();
+      authz->request_id = next_request_id_++;
+      pending_authz_[authz->request_id] =
+          PendingAuthz{id, submit.reply_to, submit.request_id};
+      send_any(kernel_.service_address(ServiceKind::kSecurity,
+                                       net::PartitionId{0}),
+               std::move(authz));
+      return nullptr;
+    }
+    const BatchSubmitResult result = submit_internal(submit.request, true);
+    auto reply = std::make_shared<PwsSubmitReplyMsg>();
+    reply->request_id = submit.request_id;
+    reply->accepted = result.status == SubmitStatus::kAccepted;
+    reply->job_id = result.job_id;
+    if (result.status != SubmitStatus::kAccepted) {
+      reply->reason = std::string(to_string(result.status));
+    }
+    return reply;
+  });
+}
+
+void PwsScheduler::on_authz_reply(const kernel::AuthzReplyMsg& authz) {
+  auto it = pending_authz_.find(authz.request_id);
+  if (it == pending_authz_.end()) return;
+  const PendingAuthz pending = it->second;
+  pending_authz_.erase(it);
+  auto reply = std::make_shared<PwsSubmitReplyMsg>();
+  reply->request_id = pending.caller_request_id;
+  reply->job_id = pending.job;
+  auto job_it = jobs_.find(pending.job);
+  if (job_it == jobs_.end() || job_it->second.state != JobState::kAuthorizing) {
+    // The job left kAuthorizing before the verdict landed (cancelled and
+    // perhaps retired, or requeued by a restore): the verdict no longer
+    // applies, and must not give the job a second terminal state.
+    reply->reason = "no longer authorizing";
+  } else {
+    Job& job = job_it->second;
+    const std::size_t pool_index = pool_index_of(job.pool_sym);
+    if (!authz.allowed || pool_index == kNoPool) {
+      reply->reason = authz.allowed ? "unknown pool '" + job.pool + "'"
+                                    : authz.reason;
+      job.state = JobState::kRejected;
+      job.finished_at = now();
+      ++stats_.rejected;
+      retire_if_unretained(pending.job);
+    } else {
+      enqueue_accepted(job, pool_index);
+      reply->accepted = true;
+    }
+    checkpoint_state();
+  }
+  replay_cache().complete(pending.reply_to, PwsSubmitMsg::static_type_id(),
+                          pending.caller_request_id, reply);
+  if (pending.reply_to.valid()) send_any(pending.reply_to, std::move(reply));
 }
 
 bool PwsScheduler::cancel(JobId id) {
@@ -208,65 +362,6 @@ bool PwsScheduler::cancel(JobId id) {
   if (metrics_->enabled()) cancelled_ctr_->inc();
   finish_job(job, JobState::kCancelled);
   return true;
-}
-
-// --- batch RPC ingest ---------------------------------------------------------
-
-void PwsScheduler::handle_submit_batch(const PwsSubmitBatchMsg& batch) {
-  std::shared_ptr<const net::Message> cached;
-  switch (batch_replay_.begin(batch.reply_to, PwsSubmitBatchMsg::static_type_id(),
-                              batch.request_id, &cached)) {
-    case net::ReplayCache::Admit::kReplay:
-      if (batch.reply_to.valid() && cached != nullptr) {
-        send_any(batch.reply_to, std::move(cached));
-      }
-      return;
-    case net::ReplayCache::Admit::kInFlight:
-      return;
-    case net::ReplayCache::Admit::kNew:
-      break;
-  }
-  auto reply = std::make_shared<PwsSubmitBatchReplyMsg>();
-  reply->request_id = batch.request_id;
-  reply->results.reserve(batch.requests.size());
-  for (const auto& request : batch.requests) {
-    reply->results.push_back(submit_internal(request, false));
-  }
-  ++stats_.batches;
-  if (metrics_->enabled()) {
-    batches_ctr_->inc();
-    batch_size_hist_->record(batch.requests.size());
-  }
-  checkpoint_state();  // one (coalescible) checkpoint for the whole batch
-  request_pass_soon();
-  batch_replay_.complete(batch.reply_to, PwsSubmitBatchMsg::static_type_id(),
-                         batch.request_id, reply);
-  if (batch.reply_to.valid()) send_any(batch.reply_to, std::move(reply));
-}
-
-void PwsScheduler::handle_cancel_batch(const PwsCancelBatchMsg& batch) {
-  std::shared_ptr<const net::Message> cached;
-  switch (batch_replay_.begin(batch.reply_to, PwsCancelBatchMsg::static_type_id(),
-                              batch.request_id, &cached)) {
-    case net::ReplayCache::Admit::kReplay:
-      if (batch.reply_to.valid() && cached != nullptr) {
-        send_any(batch.reply_to, std::move(cached));
-      }
-      return;
-    case net::ReplayCache::Admit::kInFlight:
-      return;
-    case net::ReplayCache::Admit::kNew:
-      break;
-  }
-  auto reply = std::make_shared<PwsCancelBatchReplyMsg>();
-  reply->request_id = batch.request_id;
-  reply->cancelled.reserve(batch.job_ids.size());
-  for (const JobId id : batch.job_ids) {
-    reply->cancelled.push_back(cancel(id) ? 1 : 0);
-  }
-  batch_replay_.complete(batch.reply_to, PwsCancelBatchMsg::static_type_id(),
-                         batch.request_id, reply);
-  if (batch.reply_to.valid()) send_any(batch.reply_to, std::move(reply));
 }
 
 void PwsScheduler::request_pass_soon() {
@@ -725,41 +820,19 @@ void PwsScheduler::requeue_or_fail(Job& job) {
 
 // --- state persistence ------------------------------------------------------------
 
-void PwsScheduler::checkpoint_state() {
-  if (config_.checkpoint_interval == 0) {
-    save_checkpoint_now();
-    return;
-  }
-  if (!ever_ckpt_ || now() - last_ckpt_time_ >= config_.checkpoint_interval) {
-    // Leading edge: a change after a quiet stretch checkpoints immediately,
-    // so an isolated submission is persisted with no added staleness.
-    save_checkpoint_now();
-    return;
-  }
-  // Saved recently; fold further changes into one trailing flush at the end
-  // of the window.
-  ckpt_dirty_ = true;
-  if (ckpt_flush_scheduled_) return;
-  ckpt_flush_scheduled_ = true;
-  const sim::SimTime delay =
-      last_ckpt_time_ + config_.checkpoint_interval - now();
-  engine().schedule_after(delay, [this] {
-    ckpt_flush_scheduled_ = false;
-    if (ckpt_dirty_ && alive()) save_checkpoint_now();
-  });
+std::string PwsScheduler::snapshot() const {
+  return checkpoint_image_.serialize(jobs_);
 }
 
-void PwsScheduler::save_checkpoint_now() {
-  auto save = std::make_shared<kernel::CheckpointSaveMsg>();
-  save->service = "pws";
-  save->key = "jobs";
-  save->data = checkpoint_image_.serialize(jobs_);
-  last_ckpt_time_ = now();
-  ever_ckpt_ = true;
-  ckpt_dirty_ = false;
-  const auto partition = cluster().partition_of(node_id());
-  send_any(kernel_.service_address(ServiceKind::kCheckpointService, partition),
-           std::move(save));
+void PwsScheduler::checkpoint_state() {
+  // Interval 0 is the paper configuration: every change is saved, even
+  // several in one tick. A window coalesces saves to one leading save plus
+  // one trailing flush per window.
+  if (config_.checkpoint_interval == 0) {
+    save_state();
+  } else {
+    mark_dirty(config_.checkpoint_interval);
+  }
 }
 
 void PwsScheduler::recover_state() {
@@ -769,8 +842,8 @@ void PwsScheduler::recover_state() {
   load->key = "jobs";
   load->reply_to = address();
   load->request_id = recovery_load_id_;
-  const auto partition = cluster().partition_of(node_id());
-  send_any(kernel_.service_address(ServiceKind::kCheckpointService, partition),
+  send_any(kernel_.service_address(ServiceKind::kCheckpointService,
+                                   options().partition),
            std::move(load));
 }
 
@@ -841,218 +914,69 @@ void PwsScheduler::reconcile_with_bulletin() {
   query->table = kernel::BulletinTable::kApps;
   query->cluster_scope = true;
   query->reply_to = address();
-  const auto partition = cluster().partition_of(node_id());
-  send_any(kernel_.service_address(ServiceKind::kDataBulletin, partition),
+  send_any(kernel_.service_address(ServiceKind::kDataBulletin,
+                                   options().partition),
            std::move(query));
 }
 
-// --- message handling ------------------------------------------------------------
+// --- kernel notifications --------------------------------------------------------
 
-void PwsScheduler::handle(const net::Envelope& env) {
-  const net::Message& m = *env.message;
-
-  if (const auto* submit = net::message_cast<PwsSubmitMsg>(m)) {
-    if (config_.use_security) {
-      Job job;
-      job.id = next_job_id_++;
-      job.name = submit->request.name.empty() ? "job" + std::to_string(job.id)
-                                              : submit->request.name;
-      job.user = submit->request.user;
-      job.pool = submit->request.pool;
-      job.nodes_needed = std::max(1u, submit->request.nodes);
-      job.duration = submit->request.duration;
-      job.state = JobState::kAuthorizing;
-      job.submitted_at = now();
-      job.user_sym = net::intern_symbol(job.user);
-      job.pool_sym = net::intern_symbol(job.pool);
-      const JobId id = job.id;
-      jobs_.emplace(id, std::move(job));
-
-      auto authz = std::make_shared<kernel::AuthzRequestMsg>();
-      authz->token = submit->token;
-      authz->action = "job.submit";
-      authz->resource = "pool/" + submit->request.pool;
-      authz->reply_to = address();
-      authz->request_id = next_request_id_++;
-      pending_authz_[authz->request_id] =
-          PendingAuthz{id, submit->reply_to, submit->request_id};
-      send_any(kernel_.service_address(ServiceKind::kSecurity, net::PartitionId{0}),
-               std::move(authz));
-      return;
-    }
-    const BatchSubmitResult result = submit_internal(submit->request, true);
-    if (submit->reply_to.valid()) {
-      auto reply = std::make_shared<PwsSubmitReplyMsg>();
-      reply->request_id = submit->request_id;
-      reply->accepted = result.status == SubmitStatus::kAccepted;
-      reply->job_id = result.job_id;
-      if (result.status != SubmitStatus::kAccepted) {
-        reply->reason = std::string(to_string(result.status));
-      }
-      send_any(submit->reply_to, std::move(reply));
-    }
+void PwsScheduler::on_node_event(const kernel::Event& e) {
+  if (e.type == kernel::event_types::kNodeFailed) {
+    handle_node_failed(e.subject_node);
     return;
   }
-
-  if (const auto* batch = net::message_cast<PwsSubmitBatchMsg>(m)) {
-    handle_submit_batch(*batch);
-    return;
+  if (e.type != kernel::event_types::kNodeRecovered) return;
+  auto slot_it = slots_.find(e.subject_node.value);
+  if (slot_it == slots_.end() || slot_it->second.node_alive) return;
+  slot_it->second.node_alive = true;
+  if (slot_it->second.running_job != 0) return;
+  const std::int32_t serving = effective_pool_index(slot_it->second);
+  if (serving >= 0) {
+    const auto index = static_cast<std::size_t>(serving);
+    pools_[index].free_nodes().insert(e.subject_node.value);
+    capacity_freed(index);
   }
+}
 
-  if (const auto* batch = net::message_cast<PwsCancelBatchMsg>(m)) {
-    handle_cancel_batch(*batch);
-    return;
-  }
-
-  if (const auto* query = net::message_cast<PwsQueryMsg>(m)) {
-    auto reply = std::make_shared<PwsQueryReplyMsg>();
-    reply->request_id = query->request_id;
-    for (const auto& [id, job] : jobs_) {
-      if (query->job_id != 0 && id != query->job_id) continue;
-      if (!query->user.empty() && job.user != query->user) continue;
-      reply->jobs.push_back(job);
-    }
-    send_any(query->reply_to, std::move(reply));
-    return;
-  }
-
-  if (const auto* cancel_msg = net::message_cast<PwsCancelMsg>(m)) {
-    auto reply = std::make_shared<PwsCancelReplyMsg>();
-    reply->request_id = cancel_msg->request_id;
-    reply->cancelled = cancel(cancel_msg->job_id);
-    if (cancel_msg->reply_to.valid()) send_any(cancel_msg->reply_to, std::move(reply));
-    return;
-  }
-
-  if (const auto* authz = net::message_cast<kernel::AuthzReplyMsg>(m)) {
-    auto it = pending_authz_.find(authz->request_id);
-    if (it == pending_authz_.end()) return;
-    const PendingAuthz pending = it->second;
-    pending_authz_.erase(it);
-    auto job_it = jobs_.find(pending.job);
-    if (job_it == jobs_.end()) return;
-    Job& job = job_it->second;
-    const JobId job_id = job.id;
-    // The job may have been cancelled while authorizing; its cached line
-    // goes stale below.
-    checkpoint_image_.invalidate(job_id);
-    bool accepted = false;
-    std::string reason = authz->reason;
-    const std::size_t pool_index = pool_index_of(job.pool_sym);
-    if (!authz->allowed) {
-      job.state = JobState::kRejected;
-      job.finished_at = now();
-      ++stats_.rejected;
-      retire_if_unretained(job_id);
-    } else if (pool_index == kNoPool) {
-      job.state = JobState::kRejected;
-      job.finished_at = now();
-      ++stats_.rejected;
-      reason = "unknown pool '" + job.pool + "'";
-      retire_if_unretained(job_id);
-    } else {
-      job.state = JobState::kQueued;
-      pools_[pool_index].enqueue(job, usage_of_sym(job.user_sym));
-      ++queued_jobs_;
-      mark_pool_dirty(pool_index);
-      ++stats_.submitted;
-      if (metrics_->enabled()) submitted_ctr_->inc();
-      accepted = true;
-    }
-    checkpoint_state();
-    if (pending.reply_to.valid()) {
-      auto reply = std::make_shared<PwsSubmitReplyMsg>();
-      reply->request_id = pending.caller_request_id;
-      reply->accepted = accepted;
-      reply->job_id = job_id;
-      reply->reason = std::move(reason);
-      send_any(pending.reply_to, std::move(reply));
-    }
-    return;
-  }
-
-  if (const auto* spawn = net::message_cast<kernel::SpawnReplyMsg>(m)) {
-    auto it = pending_spawns_.find(spawn->request_id);
-    if (it == pending_spawns_.end()) return;
-    const PendingSpawn pending = it->second;
-    pending_spawns_.erase(it);
-    auto job_it = jobs_.find(pending.job);
-    if (job_it == jobs_.end() || !spawn->ok) return;
-    // The job may have ended while spawning; its cached line goes stale.
-    checkpoint_image_.invalidate(pending.job);
-    job_it->second.pids[pending.node.value] = spawn->pid;
-    pid_to_job_[spawn->pid] = pending.job;
-    checkpoint_state();
-    return;
-  }
-
-  if (const auto* exit = net::message_cast<kernel::ExitNotifyMsg>(m)) {
-    complete_process(exit->pid, exit->node);
-    return;
-  }
-
-  if (const auto* notify = net::message_cast<kernel::EsNotifyMsg>(m)) {
-    const kernel::Event& e = notify->event;
-    if (e.type == kernel::event_types::kNodeFailed) {
-      handle_node_failed(e.subject_node);
-    } else if (e.type == kernel::event_types::kNodeRecovered) {
-      auto slot_it = slots_.find(e.subject_node.value);
-      if (slot_it != slots_.end() && !slot_it->second.node_alive) {
-        slot_it->second.node_alive = true;
-        if (slot_it->second.running_job == 0) {
-          const std::int32_t serving = effective_pool_index(slot_it->second);
-          if (serving >= 0) {
-            const auto index = static_cast<std::size_t>(serving);
-            pools_[index].free_nodes().insert(e.subject_node.value);
-            capacity_freed(index);
-          }
-        }
-      }
-    }
-    return;
-  }
-
-  if (const auto* load = net::message_cast<kernel::CheckpointLoadReplyMsg>(m)) {
-    if (load->request_id != recovery_load_id_ || recovery_load_id_ == 0) return;
-    recovery_load_id_ = 0;
-    if (load->found) {
-      jobs_ = deserialize_jobs(load->data);
-      checkpoint_image_.clear();
-      rebuild_after_restore();
-      reconcile_with_bulletin();
-    } else {
-      announce_up();
-    }
-    return;
-  }
-
-  if (const auto* reply = net::message_cast<kernel::DbQueryReplyMsg>(m)) {
-    if (reply->query_id != reconcile_query_id_ || reconcile_query_id_ == 0) return;
-    reconcile_query_id_ = 0;
-    // Any tracked pid that the bulletin no longer lists finished while we
-    // were down.
-    std::vector<std::pair<cluster::Pid, net::NodeId>> gone;
-    for (const auto& [pid, job_id] : pid_to_job_) {
-      bool found = false;
-      for (const auto& row : reply->app_rows) {
-        if (row.pid == pid) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        auto job_it = jobs_.find(job_id);
-        if (job_it != jobs_.end()) {
-          for (const auto& [node_value, p] : job_it->second.pids) {
-            if (p == pid) gone.emplace_back(pid, net::NodeId{node_value});
-          }
-        }
-      }
-    }
-    for (const auto& [pid, node] : gone) complete_process(pid, node);
+void PwsScheduler::on_recovery_load(const kernel::CheckpointLoadReplyMsg& load) {
+  if (load.request_id != recovery_load_id_ || recovery_load_id_ == 0) return;
+  recovery_load_id_ = 0;
+  if (load.found) {
+    jobs_ = deserialize_jobs(load.data);
+    checkpoint_image_.clear();
+    rebuild_after_restore();
+    reconcile_with_bulletin();
+  } else {
     announce_up();
-    return;
   }
+}
+
+void PwsScheduler::on_reconcile_reply(const kernel::DbQueryReplyMsg& reply) {
+  if (reply.query_id != reconcile_query_id_ || reconcile_query_id_ == 0) return;
+  reconcile_query_id_ = 0;
+  // Any tracked pid that the bulletin no longer lists finished while we
+  // were down.
+  std::vector<std::pair<cluster::Pid, net::NodeId>> gone;
+  for (const auto& [pid, job_id] : pid_to_job_) {
+    bool found = false;
+    for (const auto& row : reply.app_rows) {
+      if (row.pid == pid) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) {
+      auto job_it = jobs_.find(job_id);
+      if (job_it != jobs_.end()) {
+        for (const auto& [node_value, p] : job_it->second.pids) {
+          if (p == pid) gone.emplace_back(pid, net::NodeId{node_value});
+        }
+      }
+    }
+  }
+  for (const auto& [pid, node] : gone) complete_process(pid, node);
+  announce_up();
 }
 
 // --- introspection ----------------------------------------------------------------

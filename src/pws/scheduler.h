@@ -13,8 +13,12 @@
 //  - scheduler state is checkpointed, and the GSD supervises the scheduler
 //    as an extension service — the HA the paper says PBS lacks.
 //
+// The scheduler runs on kernel::ServiceRuntime like every kernel service:
+// typed dispatch, at-most-once serving of its mutating RPCs (single and
+// batched submit/cancel) and checkpoint saves/coalescing come from there.
+//
 // Multi-tenant scale path (DESIGN.md §13): submissions may arrive in
-// batches (PwsSubmitBatchMsg, deduplicated per batch through a ReplayCache),
+// batches (PwsSubmitBatchMsg, one replay-cache entry per batch),
 // scheduling is incremental — a dirty-pool set plus per-pool ordered pending
 // indexes and free-node sets bound each pass to the pools something actually
 // happened to — the walltime sweep pops a min-heap of expiry times instead
@@ -31,10 +35,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/daemon.h"
 #include "kernel/kernel.h"
+#include "kernel/runtime/service_runtime.h"
 #include "kernel/security/security_service.h"
-#include "net/rpc.h"
 #include "obs/metrics.h"
 #include "pws/job.h"
 #include "pws/pool.h"
@@ -211,7 +214,7 @@ struct PwsConfig {
   sim::SimTime batch_pass_delay = 1 * sim::kMillisecond;
 };
 
-class PwsScheduler final : public cluster::Daemon {
+class PwsScheduler final : public kernel::ServiceRuntime {
  public:
   PwsScheduler(cluster::Cluster& cluster, net::NodeId node,
                kernel::PhoenixKernel& kernel, PwsConfig config);
@@ -256,16 +259,25 @@ class PwsScheduler final : public cluster::Daemon {
     bool node_alive = true;
   };
 
-  void handle(const net::Envelope& env) override;
-  void on_start() override;
-  void on_stop() override;
+  void on_service_start() override;
+  void on_service_stop() override;
+  std::string snapshot() const override;
 
   // submission internals
   BatchSubmitResult submit_internal(const SubmitRequest& request,
                                     bool checkpoint_each);
+  /// A fresh job (next id) carrying every field of `request`.
+  Job new_job(const SubmitRequest& request, net::SymbolId user_sym,
+              JobState state);
+  /// Queues an accepted job in its pool and gates it on its after_ok
+  /// dependency.
+  void enqueue_accepted(Job& job, std::size_t pool_index);
   bool admit_tenant(net::SymbolId user);
-  void handle_submit_batch(const PwsSubmitBatchMsg& batch);
-  void handle_cancel_batch(const PwsCancelBatchMsg& batch);
+  void on_submit(const PwsSubmitMsg& submit);
+  void on_authz_reply(const kernel::AuthzReplyMsg& authz);
+  void on_node_event(const kernel::Event& e);
+  void on_recovery_load(const kernel::CheckpointLoadReplyMsg& load);
+  void on_reconcile_reply(const kernel::DbQueryReplyMsg& reply);
 
   // incremental scheduling
   void schedule_pass();
@@ -302,11 +314,9 @@ class PwsScheduler final : public cluster::Daemon {
 
   // state persistence
   void checkpoint_state();
-  void save_checkpoint_now();
   void recover_state();
   void rebuild_after_restore();
   void reconcile_with_bulletin();
-  void announce_up();
   void subscribe_events();
 
   kernel::PhoenixKernel& kernel_;
@@ -346,19 +356,10 @@ class PwsScheduler final : public cluster::Daemon {
   };
   std::unordered_map<std::uint32_t, TokenBucket> buckets_;
 
-  // batch dedup: one replay-cache entry per batch
-  net::ReplayCache batch_replay_{1024};
-
-  // checkpoint coalescing (the ServiceRuntime mark_dirty pattern)
-  sim::SimTime last_ckpt_time_ = 0;
-  bool ever_ckpt_ = false;
-  bool ckpt_dirty_ = false;
-  bool ckpt_flush_scheduled_ = false;
-  /// Incremental serialize_jobs(jobs_). Terminal jobs change in only two
-  /// places, which invalidate their lines: a late SpawnReply records a pid
-  /// for a job that ended while spawning, and a late AuthzReply rewrites
-  /// the state of a job cancelled while authorizing.
-  JobTableImage checkpoint_image_;
+  /// Incremental serialize_jobs(jobs_), a cache behind snapshot(). A
+  /// terminal job changes in one place only, which invalidates its line: a
+  /// late SpawnReply records a pid for a job that ended while spawning.
+  mutable JobTableImage checkpoint_image_;
 
   // observability (cluster registry; recording gated on enabled())
   obs::Registry* metrics_ = nullptr;

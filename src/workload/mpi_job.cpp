@@ -8,7 +8,9 @@ MpiRank::MpiRank(cluster::Cluster& cluster, const MpiJobConfig& config,
              config.nodes.at(rank), config.port, /*cpu_share=*/1.0),
       config_(config),
       rank_(rank),
-      stepper_(cluster.engine(), config.step_interval, [this] { step(); }) {}
+      stepper_(cluster.engine(), config.step_interval, [this] { step(); }) {
+  on<MpiBlockMsg>([this](const MpiBlockMsg&) { ++blocks_received_; });
+}
 
 void MpiRank::on_start() {
   stepper_.set_period(config_.step_interval);
@@ -32,12 +34,6 @@ void MpiRank::step() {
   block->from_rank = rank_;
   block->bytes = config_.block_bytes;
   send_any({config_.nodes[right], config_.port}, std::move(block));
-}
-
-void MpiRank::handle(const net::Envelope& env) {
-  if (net::message_cast<MpiBlockMsg>(*env.message) != nullptr) {
-    ++blocks_received_;
-  }
 }
 
 MpiJob::MpiJob(cluster::Cluster& cluster, MpiJobConfig config)

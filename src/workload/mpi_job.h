@@ -47,7 +47,6 @@ class MpiRank final : public cluster::Daemon {
   std::uint64_t blocks_received() const noexcept { return blocks_received_; }
 
  private:
-  void handle(const net::Envelope& env) override;
   void on_start() override;
   void on_stop() override;
   void step();

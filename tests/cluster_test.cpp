@@ -32,6 +32,40 @@ class EchoDaemon final : public Daemon {
   }
 };
 
+struct PingMsg final : net::Message {
+  int value = 0;
+  PHOENIX_MESSAGE_TYPE("test.dispatch.ping")
+  std::size_t wire_size() const noexcept override { return 4; }
+};
+
+struct TagMsg final : net::Message {
+  int value = 0;
+  PHOENIX_MESSAGE_TYPE("test.dispatch.tag")
+  std::size_t wire_size() const noexcept override { return 4; }
+};
+
+struct StrayMsg final : net::Message {
+  PHOENIX_MESSAGE_TYPE("test.dispatch.stray")
+  std::size_t wire_size() const noexcept override { return 4; }
+};
+
+/// Overrides no handle(): delivery goes through Daemon's own on<> table.
+class TableDaemon final : public Daemon {
+ public:
+  TableDaemon(Cluster& cluster, net::NodeId node, net::PortId port)
+      : Daemon(cluster, "table", node, port) {
+    on<PingMsg>([this](const PingMsg& ping) { pings.push_back(ping.value); });
+    on<TagMsg>([this](const TagMsg& tag, const net::Envelope& env) {
+      tags.push_back(tag.value);
+      tag_senders.push_back(env.from);
+    });
+  }
+
+  std::vector<int> pings;
+  std::vector<int> tags;
+  std::vector<net::Address> tag_senders;
+};
+
 ClusterSpec small_spec() {
   ClusterSpec spec;
   spec.partitions = 2;
@@ -125,6 +159,31 @@ TEST(DaemonTest, MessageRoundTrip) {
   cluster.engine().run();
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0], 42);
+}
+
+TEST(DaemonDispatchTest, OnTableRoutesByTypeAndDropsUnregistered) {
+  Cluster cluster(small_spec());
+  EchoDaemon sender(cluster, net::NodeId{2}, net::PortId{50});
+  TableDaemon table(cluster, net::NodeId{3}, net::PortId{50});
+  sender.start();
+  table.start();
+  auto ping = std::make_shared<PingMsg>();
+  ping->value = 7;
+  auto tag = std::make_shared<TagMsg>();
+  tag->value = 9;
+  auto& fabric = cluster.fabric();
+  fabric.send(sender.address(), table.address(), net::NetworkId{0}, ping);
+  fabric.send(sender.address(), table.address(), net::NetworkId{1}, tag);
+  // Neither type has a handler: both are dropped without a crash.
+  fabric.send(sender.address(), table.address(), net::NetworkId{0},
+              std::make_shared<StrayMsg>());
+  fabric.send(sender.address(), table.address(), net::NetworkId{0},
+              std::make_shared<NoteMsg>());
+  cluster.engine().run();
+  EXPECT_EQ(table.pings, std::vector<int>{7});
+  EXPECT_EQ(table.tags, std::vector<int>{9});
+  ASSERT_EQ(table.tag_senders.size(), 1u);
+  EXPECT_EQ(table.tag_senders[0], sender.address());
 }
 
 TEST(DaemonTest, KilledDaemonDropsMessages) {

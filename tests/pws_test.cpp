@@ -806,9 +806,153 @@ TEST(PwsCheckpointTest, CheckpointCurrentAfterCancelWhileAuthorizing) {
   ASSERT_EQ(sched.job(id)->state, JobState::kAuthorizing);
   ASSERT_TRUE(sched.cancel(id));  // saves the cancelled job
   h.run_s(1.5);
-  // The late denial rewrites the already-cancelled job.
-  EXPECT_EQ(sched.job(id)->state, JobState::kRejected);
+  // The late denial leaves the cancelled job cancelled.
+  EXPECT_EQ(sched.job(id)->state, JobState::kCancelled);
   expect_checkpoint_current(h, sched);
+}
+
+TEST(PwsSecurityTest, LateAllowedVerdictLeavesCancelledJobCancelled) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+  auto& sched = pws.scheduler();
+
+  TestClient client(h.cluster, net::NodeId{3});
+  auto msg = std::make_shared<PwsSubmitMsg>();
+  msg->request = req("alice", 1, 5.0);
+  msg->token = *security.authenticate("alice", "pw");
+  msg->reply_to = client.address();
+  msg->request_id = 1;
+  client.send_any(sched.address(), msg);
+  while (sched.jobs().empty()) ASSERT_TRUE(h.cluster.engine().step());
+  const JobId id = sched.jobs().begin()->first;
+  ASSERT_EQ(sched.job(id)->state, JobState::kAuthorizing);
+  ASSERT_TRUE(sched.cancel(id));
+  h.run_s(10.0);
+
+  // The allowed verdict arrives after the cancel: the job never runs and
+  // is not counted as submitted; the client learns it was not accepted.
+  EXPECT_EQ(sched.job(id)->state, JobState::kCancelled);
+  EXPECT_TRUE(sched.job(id)->allocated.empty());
+  EXPECT_EQ(sched.stats().submitted, 0u);
+  EXPECT_EQ(sched.stats().completed, 0u);
+  const auto* reply = client.last_of_type<PwsSubmitReplyMsg>();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_FALSE(reply->accepted);
+  EXPECT_EQ(reply->job_id, id);
+  expect_checkpoint_current(h, sched);
+}
+
+TEST(PwsSecurityTest, SecureSubmitKeepsWalltimeAndDependency) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+  auto& sched = pws.scheduler();
+
+  TestClient client(h.cluster, net::NodeId{3});
+  const kernel::Token token = *security.authenticate("alice", "pw");
+  auto submit = [&](SubmitRequest request, std::uint64_t rid) -> JobId {
+    auto msg = std::make_shared<PwsSubmitMsg>();
+    msg->request = std::move(request);
+    msg->token = token;
+    msg->reply_to = client.address();
+    msg->request_id = rid;
+    client.send_any(sched.address(), msg);
+    h.run_s(1.0);
+    const auto* reply = client.last_of_type<PwsSubmitReplyMsg>();
+    EXPECT_NE(reply, nullptr);
+    if (reply == nullptr || reply->request_id != rid) return 0;
+    EXPECT_TRUE(reply->accepted);
+    return reply->job_id;
+  };
+
+  SubmitRequest capped = req("alice", 1, 60.0);
+  capped.walltime_limit = sim::from_seconds(3.0);
+  capped.priority = 7;
+  const JobId capped_id = submit(capped, 1);
+  const JobId first = submit(req("alice", 1, 8.0), 2);
+  SubmitRequest gated = req("alice", 1, 2.0);
+  gated.after_ok = first;
+  const JobId gated_id = submit(gated, 3);
+  ASSERT_NE(capped_id, 0u);
+  ASSERT_NE(gated_id, 0u);
+  EXPECT_EQ(sched.job(capped_id)->priority, 7);
+
+  // Free nodes abound, yet the dependent waits for its dependency.
+  h.run_s(2.0);
+  EXPECT_EQ(sched.job(first)->state, JobState::kRunning);
+  EXPECT_EQ(sched.job(gated_id)->state, JobState::kQueued);
+
+  h.run_s(10.0);
+  EXPECT_EQ(sched.job(capped_id)->state, JobState::kTimedOut);
+  EXPECT_EQ(sched.job(first)->state, JobState::kCompleted);
+  EXPECT_EQ(sched.job(gated_id)->state, JobState::kCompleted);
+  EXPECT_GE(sched.job(gated_id)->started_at, sched.job(first)->finished_at);
+}
+
+TEST_F(PwsTest, DuplicateSubmitExecutesOnce) {
+  auto& sched = pws.scheduler();
+  TestClient client(h.cluster, net::NodeId{3});
+  auto msg = std::make_shared<PwsSubmitMsg>();
+  msg->request = req("alice", 1, 5.0);
+  msg->reply_to = client.address();
+  msg->request_id = 11;
+  client.send_any(sched.address(), msg);
+  h.run_s(0.5);
+  client.send_any(sched.address(), msg);  // a retransmission
+  h.run_s(0.5);
+
+  EXPECT_EQ(sched.jobs().size(), 1u);
+  EXPECT_EQ(sched.stats().submitted, 1u);
+  const auto replies = client.of_type<PwsSubmitReplyMsg>();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[0]->accepted);
+  EXPECT_EQ(replies[0]->request_id, replies[1]->request_id);
+  EXPECT_EQ(replies[0]->accepted, replies[1]->accepted);
+  EXPECT_EQ(replies[0]->job_id, replies[1]->job_id);
+  EXPECT_EQ(replies[0]->reason, replies[1]->reason);
+}
+
+TEST(PwsSecurityTest, DuplicateSecureSubmitExecutesOnce) {
+  KernelHarness h(small_cluster_spec(), fast_ft_params());
+  auto config = one_pool_config(h.cluster);
+  config.use_security = true;
+  PwsSystem pws(h.kernel, config);
+  auto& security = h.kernel.security();
+  security.add_user("alice", "pw", {"scientist"});
+  security.grant("scientist", "job.submit", "pool/batch");
+  h.run_s(1.0);
+  auto& sched = pws.scheduler();
+
+  TestClient client(h.cluster, net::NodeId{3});
+  auto msg = std::make_shared<PwsSubmitMsg>();
+  msg->request = req("alice", 1, 5.0);
+  msg->token = *security.authenticate("alice", "pw");
+  msg->reply_to = client.address();
+  msg->request_id = 5;
+  client.send_any(sched.address(), msg);
+  client.send_any(sched.address(), msg);  // in flight: dropped
+  h.run_s(1.0);
+  client.send_any(sched.address(), msg);  // answered: replayed
+  h.run_s(1.0);
+
+  EXPECT_EQ(sched.jobs().size(), 1u);
+  EXPECT_EQ(sched.stats().submitted, 1u);
+  const auto replies = client.of_type<PwsSubmitReplyMsg>();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(replies[0]->accepted);
+  EXPECT_EQ(replies[0]->job_id, replies[1]->job_id);
+  EXPECT_EQ(replies[1]->accepted, replies[0]->accepted);
 }
 
 }  // namespace
